@@ -113,6 +113,10 @@ struct TableRef {
   std::string db;     // empty = current database
   std::string table;
   std::string alias;  // empty = table name
+  /// Set only by the UPDATE/DELETE/MERGE rewrites (never by the parser): the
+  /// table also yields its ACID record id — _acid_write_id, _acid_bucket and
+  /// _acid_row_id — after its full schema.
+  bool with_record_id = false;
 
   // kSubquery
   std::shared_ptr<SelectStmt> subquery;

@@ -91,6 +91,8 @@ class ScanOperator : public Operator {
   std::vector<size_t> data_columns_;    // AcidReader projection (user ordinals)
   std::vector<int> output_from_data_;   // output i <- data column position or -1
   std::vector<int> output_from_part_;   // output i <- partition col index or -1
+  std::vector<int> output_from_record_id_;  // output i <- record-id column or -1
+  bool reads_record_id_ = false;
   std::vector<LocationState> location_states_;
   std::vector<Morsel> morsels_;
   /// Row-level Bloom filters from semijoin reducers: (output column, filter).

@@ -96,17 +96,23 @@ ScanOperator::ScanOperator(ExecContext* ctx, const RelNode& node)
       out_schema_(node.schema) {}
 
 Status ScanOperator::Open() {
-  // Resolve the data-column projection (partition columns are virtual).
+  // Resolve the data-column projection (partition columns are virtual;
+  // record-id columns come from the ACID reader).
   size_t data_width = table_.schema.num_fields();
+  size_t full_width = data_width + table_.partition_cols.size();
   output_from_data_.assign(out_schema_.num_fields(), -1);
   output_from_part_.assign(out_schema_.num_fields(), -1);
+  output_from_record_id_.assign(out_schema_.num_fields(), -1);
   for (size_t i = 0; i < projected_.size(); ++i) {
     size_t full_ordinal = projected_[i];
     if (full_ordinal < data_width) {
       output_from_data_[i] = static_cast<int>(data_columns_.size());
       data_columns_.push_back(full_ordinal);
-    } else {
+    } else if (full_ordinal < full_width) {
       output_from_part_[i] = static_cast<int>(full_ordinal - data_width);
+    } else {
+      output_from_record_id_[i] = static_cast<int>(full_ordinal - full_width);
+      reads_record_id_ = true;
     }
   }
 
@@ -212,10 +218,15 @@ Status ScanOperator::EnumerateMorsels() {
       AcidScanOptions options;
       options.columns = data_columns_;
       options.sarg = sarg_;
+      options.include_row_ids = reads_record_id_;
       ValidWriteIdList snapshot = ctx_->snapshot_for
                                       ? ctx_->snapshot_for(table_.FullName())
                                       : ValidWriteIdList::All();
-      HIVE_RETURN_IF_ERROR(state.acid->Open(snapshot, options));
+      // Opening loads the delete deltas; a transient error there re-attempts
+      // the open like a footer read below.
+      HIVE_RETURN_IF_ERROR(
+          RunTaskAttempts(ctx_->config, ctx_->clock, ctx_->runtime_stats,
+                          [&] { return state.acid->Open(snapshot, options); }));
       files = state.acid->data_files();
     } else if (ctx_->fs->Exists(loc.path)) {
       // Non-ACID: plain COF files directly under the location.
@@ -242,13 +253,17 @@ Status ScanOperator::EnumerateMorsels() {
 }
 
 Result<RowBatch> ScanOperator::PostProcess(RowBatch raw, const Location& loc) const {
-  // Assemble the output batch: data columns by position, partition columns
-  // as broadcast constants.
+  // Assemble the output batch: data columns by position, record-id columns
+  // from the tail the ACID reader appends, partition columns as broadcast
+  // constants.
   RowBatch out(out_schema_);
   size_t n = raw.num_rows();
   for (size_t i = 0; i < out_schema_.num_fields(); ++i) {
     if (output_from_data_[i] >= 0) {
       out.SetColumn(i, raw.column(output_from_data_[i]));
+    } else if (output_from_record_id_[i] >= 0) {
+      out.SetColumn(i, raw.column(raw.num_columns() - kNumAcidMetaCols +
+                                  output_from_record_id_[i]));
     } else {
       auto col = std::make_shared<ColumnVector>(out_schema_.field(i).type);
       const Value& v = loc.partition_values[output_from_part_[i]];

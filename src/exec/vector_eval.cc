@@ -185,11 +185,16 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
           if (e.type.kind == TypeKind::kBigint ||
               (e.type.kind == TypeKind::kDecimal && e.type.scale == target) ||
               e.type.kind == TypeKind::kDate || e.type.kind == TypeKind::kTimestamp) {
+            // DATE/TIMESTAMP +/- INTERVAL adds days; a timestamp counts them
+            // in microseconds.
+            const int64_t unit = e.type.kind == TypeKind::kTimestamp ? 86400000000LL : 1;
             switch (e.bin_op) {
               case BinaryOp::kAdd:
-                return ArithI64(*la, *ra, e.type, [](int64_t a, int64_t b) { return a + b; });
+                return ArithI64(*la, *ra, e.type,
+                                [unit](int64_t a, int64_t b) { return a + b * unit; });
               case BinaryOp::kSub:
-                return ArithI64(*la, *ra, e.type, [](int64_t a, int64_t b) { return a - b; });
+                return ArithI64(*la, *ra, e.type,
+                                [unit](int64_t a, int64_t b) { return a - b * unit; });
               default:
                 if (e.type.kind == TypeKind::kBigint)
                   return ArithI64(*la, *ra, e.type, [](int64_t a, int64_t b) { return a * b; });

@@ -37,8 +37,10 @@ class LlapDaemon {
     auto future = promise->get_future();
     fragments_submitted_.fetch_add(1, std::memory_order_relaxed);
     executors_.Submit([this, promise, fragment = std::move(fragment)]() mutable {
-      promise->set_value(fragment());
+      Status status = fragment();
+      // Count before publishing, so a waiter on the future sees the count.
       fragments_completed_.fetch_add(1, std::memory_order_relaxed);
+      promise->set_value(std::move(status));
     });
     return future;
   }
@@ -53,8 +55,9 @@ class LlapDaemon {
     auto future = promise->get_future();
     fragments_submitted_.fetch_add(1, std::memory_order_relaxed);
     executors_.SubmitOrRun([this, promise, fragment = std::move(fragment)]() mutable {
-      promise->set_value(fragment());
+      Status status = fragment();
       fragments_completed_.fetch_add(1, std::memory_order_relaxed);
+      promise->set_value(std::move(status));
     });
     return future;
   }

@@ -203,8 +203,26 @@ void LlapCacheProvider::Clear() {
   metadata_.clear();
 }
 
-void LlapCacheProvider::InvalidateFile(uint64_t file_id) {
-  InvalidateFileLocked(file_id);
+void LlapCacheProvider::InvalidateDeletedFiles(const std::string& dir) {
+  const std::string prefix = dir + "/";
+  std::vector<std::pair<std::string, uint64_t>> cached;
+  {
+    MutexLock lock(&metadata_mu_);
+    for (auto it = metadata_.lower_bound(prefix);
+         it != metadata_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it)
+      cached.push_back({it->first, it->second.first});
+  }
+  std::unordered_set<uint64_t> deleted;
+  for (const auto& [path, file_id] : cached) {
+    if (fs_->Exists(path)) continue;
+    deleted.insert(file_id);
+    MutexLock lock(&metadata_mu_);
+    auto it = metadata_.find(path);
+    if (it != metadata_.end() && it->second.first == file_id) metadata_.erase(it);
+  }
+  if (!deleted.empty())
+    data_cache_.EraseIf(
+        [&deleted](const ChunkKey& key) { return deleted.count(key.file_id) != 0; });
 }
 
 void LlapCacheProvider::InvalidateFileLocked(uint64_t file_id) {

@@ -49,8 +49,10 @@ class LlapCacheProvider : public ChunkProvider {
   /// history: a restarted daemon re-admits degraded files.
   void Clear();
 
-  /// Invalidates data cached for a specific file id (compaction cleanup).
-  void InvalidateFile(uint64_t file_id);
+  /// Drops the cached footers and chunks of files under `dir` that no
+  /// longer exist (compaction cleanup deleted them), so superseded files
+  /// stop holding cache memory.
+  void InvalidateDeletedFiles(const std::string& dir);
 
   /// Test hook: silently corrupts up to `n` cached chunks *without*
   /// refreshing their stored fingerprints, simulating cache poisoning.

@@ -64,7 +64,14 @@ Status CompactionManager::CompactLocation(const std::string& location,
     pending_cleans_.push_back({location, schema, snapshot});
     return Status::OK();
   }
-  return compactor.Clean(snapshot);
+  return Clean(location, schema, snapshot);
+}
+
+Status CompactionManager::Clean(const std::string& location, const Schema& schema,
+                                const ValidWriteIdList& snapshot) {
+  HIVE_RETURN_IF_ERROR(Compactor(catalog_->filesystem(), location, schema).Clean(snapshot));
+  if (clean_listener_) clean_listener_(location);
+  return Status::OK();
 }
 
 void CompactionManager::FlushPendingCleans() {
@@ -81,8 +88,7 @@ void CompactionManager::FlushPendingCleansLocked() {
   // dropped while the clean was pending.
   std::vector<PendingClean> still_pending;
   for (PendingClean& pending : pending_cleans_) {
-    Compactor compactor(catalog_->filesystem(), pending.location, pending.schema);
-    Status clean = compactor.Clean(pending.snapshot);
+    Status clean = Clean(pending.location, pending.schema, pending.snapshot);
     if (!clean.ok() && !clean.IsNotFound())
       still_pending.push_back(std::move(pending));
   }

@@ -2,6 +2,7 @@
 #define HIVE_METASTORE_COMPACTION_MANAGER_H_
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,13 @@ class CompactionManager {
   /// reader is active. Safe to call at any time.
   void FlushPendingCleans();
 
+  /// Called with a table or partition location after its superseded
+  /// directories were deleted (the server drops their cached chunks). Set
+  /// before the first write.
+  void set_clean_listener(std::function<void(const std::string& location)> listener) {
+    clean_listener_ = std::move(listener);
+  }
+
   int64_t compactions_run() const { return compactions_run_.load(); }
   size_t pending_cleans() const {
     MutexLock lock(&compact_mu_);
@@ -83,6 +91,10 @@ class CompactionManager {
   Status CompactLocation(const std::string& location, const Schema& schema,
                          const ValidWriteIdList& snapshot,
                          CompactionDecision* decision);
+  /// Deletes the directories `snapshot` makes obsolete under `location`,
+  /// then tells the clean listener.
+  Status Clean(const std::string& location, const Schema& schema,
+               const ValidWriteIdList& snapshot);
   void FlushPendingCleansLocked() HIVE_REQUIRES(compact_mu_);
 
   Catalog* catalog_;
@@ -95,6 +107,7 @@ class CompactionManager {
   std::vector<PendingClean> pending_cleans_ HIVE_GUARDED_BY(compact_mu_);
   std::atomic<int64_t> active_readers_{0};
   std::atomic<int64_t> compactions_run_{0};
+  std::function<void(const std::string& location)> clean_listener_;
 };
 
 }  // namespace hive

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "storage/acid.h"
+
 namespace hive {
 
 namespace {
@@ -305,6 +307,15 @@ Result<RelNodePtr> Binder::BindTableRef(const TableRef& ref, Scope* scope, Scope
         scan->projected.push_back(i);
         scan->schema.AddField(full.field(i).name, full.field(i).type);
       }
+      if (ref.with_record_id) {
+        if (!desc.is_acid)
+          return Status::NotSupported(desc.FullName() + " is not transactional");
+        // The record-id columns take the ordinals past the full schema.
+        for (const char* name : kAcidRecordIdCols) {
+          scan->projected.push_back(scan->schema.num_fields());
+          scan->schema.AddField(name, DataType::Bigint());
+        }
+      }
       scope->tables.push_back({alias, scan->schema});
       return RelNodePtr(scan);
     }
@@ -550,7 +561,7 @@ Result<DataType> Binder::DeriveFunctionType(Expr* e) {
     uses_nondeterministic_ = true;
     return DataType::Date();
   }
-  if (f == "CURRENT_TIMESTAMP" || f == "UNIX_TIMESTAMP") {
+  if (f == "CURRENT_TIMESTAMP") {
     uses_nondeterministic_ = true;
     return DataType::Timestamp();
   }
@@ -1115,13 +1126,6 @@ Result<ExprPtr> Binder::BindScalar(const ExprPtr& expr, const Schema& schema,
                                    const std::string& alias) {
   Scope scope;
   scope.tables.push_back({alias, schema});
-  return BindExpr(expr, &scope, false);
-}
-
-Result<ExprPtr> Binder::BindAgainst(
-    const ExprPtr& expr, const std::vector<std::pair<std::string, Schema>>& tables) {
-  Scope scope;
-  scope.tables = tables;
   return BindExpr(expr, &scope, false);
 }
 

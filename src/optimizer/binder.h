@@ -39,14 +39,9 @@ class Binder {
   /// Binds a full SELECT statement into a logical plan.
   Result<RelNodePtr> BindSelect(const SelectStmt& stmt);
 
-  /// Binds a standalone scalar expression against a schema (used by DML).
+  /// Binds a standalone scalar expression against a schema (INSERT VALUES).
   Result<ExprPtr> BindScalar(const ExprPtr& expr, const Schema& schema,
                              const std::string& alias);
-
-  /// Binds an expression against several named row sources concatenated in
-  /// order (MERGE binds its ON clause over target then source).
-  Result<ExprPtr> BindAgainst(const ExprPtr& expr,
-                              const std::vector<std::pair<std::string, Schema>>& tables);
 
   /// Tables referenced by the last BindSelect call ("db.table" names);
   /// feeds the result cache's validity tracking and MV staleness checks.

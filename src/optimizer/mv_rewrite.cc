@@ -45,7 +45,9 @@ void ShiftAll(const ExprPtr& e, int delta) {
 bool ExtractJoinTree(const RelNodePtr& node, SpjaSummary* out) {
   switch (node->kind) {
     case RelKind::kScan: {
-      if (!node->table.storage_handler.empty() || node->table.is_materialized_view)
+      // A DML read must address the target's own records, never a view's.
+      if (!node->table.storage_handler.empty() || node->table.is_materialized_view ||
+          node->ReadsRecordId())
         return false;
       out->offsets.push_back(out->total_columns);
       out->scans.push_back(node.get());

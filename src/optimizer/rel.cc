@@ -1,5 +1,7 @@
 #include "optimizer/rel.h"
 
+#include <algorithm>
+
 namespace hive {
 
 namespace {
@@ -34,6 +36,13 @@ const char* JoinName(TableRef::JoinType type) {
   return "?";
 }
 }  // namespace
+
+bool RelNode::ReadsRecordId() const {
+  size_t full_width = table.schema.num_fields() + table.partition_cols.size();
+  return kind == RelKind::kScan &&
+         std::any_of(projected.begin(), projected.end(),
+                     [&](size_t c) { return c >= full_width; });
+}
 
 std::string RelNode::Digest() const {
   std::string out = KindName(kind);

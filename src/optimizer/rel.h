@@ -74,7 +74,8 @@ struct RelNode {
   // --- kScan ---
   TableDesc table;
   std::string scan_alias;
-  /// Ordinals of `table.FullSchema()` columns this scan produces.
+  /// Ordinals of `table.FullSchema()` columns this scan produces; ordinals
+  /// past the full schema name the ACID record-id columns (DML rewrites).
   std::vector<size_t> projected;
   /// Conjuncts evaluated by the scan (pushed-down predicates), bound into
   /// the scan's *output* schema.
@@ -111,6 +112,9 @@ struct RelNode {
   // --- kSort / kLimit ---
   std::vector<std::pair<ExprPtr, bool>> sort_keys;  // expr, ascending
   int64_t limit = -1;
+
+  /// True for a scan that yields the ACID record-id columns.
+  bool ReadsRecordId() const;
 
   /// Structural digest used by the shared-work optimizer and the plan
   /// printer; equal digests => equal subtrees.

@@ -12,8 +12,7 @@ namespace hive {
 namespace {
 
 bool IsDeterministicFunc(const std::string& f) {
-  return f != "RAND" && f != "CURRENT_DATE" && f != "CURRENT_TIMESTAMP" &&
-         f != "UNIX_TIMESTAMP";
+  return f != "RAND" && f != "CURRENT_DATE" && f != "CURRENT_TIMESTAMP";
 }
 
 bool IsFoldable(const ExprPtr& e) {

@@ -190,11 +190,6 @@ Connection ConnectionManager::Connect(const std::string& application,
   return Connection(server_, this, MakeSession(application, defaults));
 }
 
-Session* ConnectionManager::OpenUnowned(const std::string& application,
-                                        const Config& defaults) {
-  return MakeSession(application, defaults).get();
-}
-
 Status ConnectionManager::Close(const std::shared_ptr<Session>& session) {
   if (!session) return Status::OK();
   {

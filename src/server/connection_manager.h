@@ -172,11 +172,6 @@ class ConnectionManager {
   /// Opens a session and returns its RAII handle.
   Connection Connect(const std::string& application, const Config& defaults);
 
-  /// Legacy entry point backing the deprecated HiveServer2::OpenSession:
-  /// the session has no owning handle and is closed only by CloseAll at
-  /// server destruction.
-  Session* OpenUnowned(const std::string& application, const Config& defaults);
-
   /// Tears the session down (idempotent). See Connection::Close.
   Status Close(const std::shared_ptr<Session>& session);
 

@@ -1,44 +1,158 @@
 #include "server/dml.h"
 
+#include <algorithm>
 #include <map>
-#include <set>
+#include <unordered_set>
 
-#include "common/hash.h"
 #include "optimizer/expr_eval.h"
 
 namespace hive {
 
-namespace {
-
-/// Per-location ACID writers for one transaction.
-class TxnWriters {
+/// One statement's ACID writes to a table under one write id. Every row
+/// routes to the partition its partition values name, and records its write
+/// set and shared lock on that partition before reaching the partition's
+/// AcidWriter.
+class TableWriter {
  public:
-  TxnWriters(FileSystem* fs, const Schema& schema, int64_t write_id)
-      : fs_(fs), schema_(schema), write_id_(write_id) {}
+  TableWriter(HiveServer2* server, const TableDesc& desc, int64_t txn, int64_t write_id)
+      : server_(server), desc_(desc), txn_(txn), write_id_(write_id) {}
 
-  AcidWriter* ForLocation(const std::string& location) {
-    auto it = writers_.find(location);
-    if (it == writers_.end()) {
-      it = writers_
-               .emplace(location, std::make_unique<AcidWriter>(fs_, location, schema_,
-                                                               write_id_))
-               .first;
-    }
-    return it->second.get();
+  /// Deletes record `id` from the partition `part_values` name (none for an
+  /// unpartitioned table).
+  Status Delete(const std::vector<Value>& part_values, const RecordId& id) {
+    HIVE_ASSIGN_OR_RETURN(AcidWriter * writer,
+                          Route(part_values, WriteOpKind::kUpdateDelete));
+    writer->Delete(id);
+    return Status::OK();
   }
 
-  Status CommitAll() {
-    for (auto& [location, writer] : writers_)
-      HIVE_RETURN_IF_ERROR(writer->Commit());
+  /// Inserts `row`: the data columns, then the partition values.
+  Status Insert(const std::vector<Value>& row) {
+    auto data_end = row.begin() + std::min(row.size(), desc_.schema.num_fields());
+    HIVE_ASSIGN_OR_RETURN(AcidWriter * writer,
+                          Route({data_end, row.end()}, WriteOpKind::kInsert));
+    writer->Insert({row.begin(), data_end});
+    return Status::OK();
+  }
+
+  /// Registers the partitions inserts created, then flushes every writer.
+  Status Commit() {
+    for (const auto& [dir, values] : new_partitions_)
+      HIVE_RETURN_IF_ERROR(server_->catalog()->AddPartition(desc_.db, desc_.name, values));
+    for (auto& [location, writer] : writers_) HIVE_RETURN_IF_ERROR(writer->Commit());
     return Status::OK();
   }
 
  private:
-  FileSystem* fs_;
-  Schema schema_;
+  Result<AcidWriter*> Route(const std::vector<Value>& part_values, WriteOpKind kind) {
+    std::string location = desc_.location;
+    std::string resource = desc_.FullName();
+    if (desc_.IsPartitioned()) {
+      std::string dir = Catalog::PartitionDirName(desc_.partition_cols, part_values);
+      location = JoinPath(location, dir);
+      resource += "/" + dir;
+      if (kind == WriteOpKind::kInsert) new_partitions_.emplace(dir, part_values);
+    }
+    HIVE_RETURN_IF_ERROR(server_->txns()->RecordWriteSet(txn_, resource, kind));
+    HIVE_RETURN_IF_ERROR(server_->txns()->AcquireLock(txn_, resource, LockMode::kShared));
+    std::unique_ptr<AcidWriter>& writer = writers_[location];
+    if (!writer)
+      writer = std::make_unique<AcidWriter>(server_->filesystem(), location,
+                                            desc_.schema, write_id_);
+    return writer.get();
+  }
+
+  HiveServer2* server_;
+  const TableDesc& desc_;
+  int64_t txn_;
   int64_t write_id_;
-  std::map<std::string, std::unique_ptr<AcidWriter>> writers_;
+  std::map<std::string, std::unique_ptr<AcidWriter>> writers_;  // by location
+  std::map<std::string, std::vector<Value>> new_partitions_;    // by directory
 };
+
+namespace {
+
+/// `SELECT <items> FROM <from> [WHERE <where>]` as a statement tree.
+SelectStmt MakeSelect(std::vector<SelectItem> items, TableRefPtr from, ExprPtr where) {
+  auto body = std::make_shared<QueryExpr>();
+  body->core.items = std::move(items);
+  body->core.from = std::move(from);
+  body->core.where = std::move(where);
+  SelectStmt stmt;
+  stmt.body = body;
+  return stmt;
+}
+
+/// The DML target as a FROM item that also yields its record-id columns.
+TableRefPtr TargetRef(const TableDesc& desc, const std::string& alias) {
+  auto ref = std::make_shared<TableRef>();
+  ref->db = desc.db;
+  ref->table = desc.name;
+  ref->alias = alias;
+  ref->with_record_id = true;
+  return ref;
+}
+
+SelectItem Column(const std::string& alias, const std::string& name) {
+  return {MakeColumnRef(alias, name), ""};
+}
+
+/// The leading items of every DML read: the target's record id, then its
+/// partition values (which route the row's writes).
+std::vector<SelectItem> RecordIdAndPartition(const TableDesc& desc,
+                                             const std::string& alias) {
+  std::vector<SelectItem> items;
+  for (const char* name : kAcidRecordIdCols) items.push_back(Column(alias, name));
+  for (const Field& f : desc.partition_cols) items.push_back(Column(alias, f.name));
+  return items;
+}
+
+/// The target's data columns, each SET column replaced by its new value.
+Result<std::vector<SelectItem>> UpdatedRow(
+    const TableDesc& desc, const std::string& alias,
+    const std::vector<std::pair<std::string, ExprPtr>>& assignments) {
+  std::vector<SelectItem> items;
+  for (const Field& f : desc.schema.fields()) items.push_back(Column(alias, f.name));
+  for (const auto& [column, expr] : assignments) {
+    if (auto idx = desc.schema.IndexOf(column)) {
+      items[*idx].expr = expr;
+    } else if (desc.FullSchema().IndexOf(column)) {
+      return Status::NotSupported("cannot UPDATE a partition column");
+    } else {
+      return Status::PlanError("unknown column " + column);
+    }
+  }
+  return items;
+}
+
+/// A column value converted to its declared type; a failed cast is NULL.
+Value CastOrNull(const Value& v, const DataType& type) {
+  auto cast = v.CastTo(type);
+  return cast.ok() ? *cast : Value::Null();
+}
+
+RecordId RecordIdOf(const std::vector<Value>& row) {
+  return {row[0].i64(), row[1].i64(), row[2].i64()};
+}
+
+/// The partition values that follow the record id in a DML read's row.
+std::vector<Value> PartitionValues(const TableDesc& desc, const std::vector<Value>& row) {
+  auto begin = row.begin() + kNumAcidMetaCols;
+  return {begin, begin + desc.partition_cols.size()};
+}
+
+/// An UPDATE or matched MERGE row: deletes the record and inserts its new
+/// version, read from `row` at `updated_at`, into the same partition.
+Status WriteUpdate(const TableDesc& desc, const std::vector<Value>& row, size_t updated_at,
+                   TableWriter* writer) {
+  std::vector<Value> part_values = PartitionValues(desc, row);
+  HIVE_RETURN_IF_ERROR(writer->Delete(part_values, RecordIdOf(row)));
+  std::vector<Value> updated;
+  for (size_t c = 0; c < desc.schema.num_fields(); ++c)
+    updated.push_back(CastOrNull(row[updated_at + c], desc.schema.field(c).type));
+  updated.insert(updated.end(), part_values.begin(), part_values.end());
+  return writer->Insert(updated);
+}
 
 }  // namespace
 
@@ -163,13 +277,7 @@ Result<QueryResult> DmlDriver::CreateTable(const CreateTableStatement& stmt) {
     HIVE_ASSIGN_OR_RETURN(TableDesc created,
                           server_->catalog_.GetTable(desc.db, desc.name));
     int64_t txn = server_->txns_.OpenTxn();
-    auto inserted = InsertRows(created, ctas_rows, txn);
-    if (!inserted.ok()) {
-      // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-      return inserted.status();
-    }
-    HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
+    HIVE_RETURN_IF_ERROR(Finish(txn, InsertRows(created, ctas_rows, txn).status()));
   }
   return QueryResult{};
 }
@@ -193,36 +301,21 @@ Result<int64_t> DmlDriver::InsertRows(const TableDesc& desc,
 
   HIVE_ASSIGN_OR_RETURN(int64_t write_id,
                         server_->txns_.AllocateWriteId(txn, desc.FullName()));
-  size_t data_width = desc.schema.num_fields();
-  TxnWriters writers(server_->fs_, desc.schema, write_id);
-  std::map<std::string, std::vector<Value>> new_partitions;
-
-  for (const auto& row : rows) {
-    std::string location = desc.location;
-    std::string resource = desc.FullName();
-    if (desc.IsPartitioned()) {
-      std::vector<Value> part_values(row.begin() + data_width, row.end());
-      std::string dir = Catalog::PartitionDirName(desc.partition_cols, part_values);
-      location = JoinPath(desc.location, dir);
-      resource += "/" + dir;
-      new_partitions.emplace(dir, part_values);
-    }
-    HIVE_RETURN_IF_ERROR(
-        server_->txns_.RecordWriteSet(txn, resource, WriteOpKind::kInsert));
-    HIVE_RETURN_IF_ERROR(
-        server_->txns_.AcquireLock(txn, resource, LockMode::kShared));
-    std::vector<Value> data_row(row.begin(), row.begin() + std::min(row.size(),
-                                                                    data_width));
-    writers.ForLocation(location)->Insert(data_row);
-  }
-  for (const auto& [dir, values] : new_partitions)
-    HIVE_RETURN_IF_ERROR(server_->catalog_.AddPartition(desc.db, desc.name, values));
-  HIVE_RETURN_IF_ERROR(writers.CommitAll());
+  TableWriter writer(server_, desc, txn, write_id);
+  for (const auto& row : rows) HIVE_RETURN_IF_ERROR(writer.Insert(row));
+  HIVE_RETURN_IF_ERROR(writer.Commit());
 
   // Statistics merge additively (Section 4.1).
   TableStatistics stats = ComputeStats(desc.FullSchema(), rows);
   HIVE_RETURN_IF_ERROR(server_->catalog_.MergeStats(desc.db, desc.name, stats));
   return static_cast<int64_t>(rows.size());
+}
+
+Status DmlDriver::Finish(int64_t txn, const Status& status) {
+  if (status.ok()) return server_->txns_.CommitTxn(txn);
+  // lint: allow-discard(best-effort abort while propagating the original error)
+  (void)server_->txns_.AbortTxn(txn);
+  return status;
 }
 
 Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
@@ -236,13 +329,13 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
     HIVE_ASSIGN_OR_RETURN(QueryResult source, RunSelect(*stmt.source));
     rows = std::move(source.rows);
   } else {
+    // VALUES rows are literal expressions (fold with the evaluator).
+    Config config = server_->EffectiveConfig(session_);
+    Binder binder(&server_->catalog_, &config, session_->database);
+    binder.set_table_resolver(server_->TempResolver(session_));
     for (const auto& exprs : stmt.values_rows) {
       std::vector<Value> row;
       for (const ExprPtr& e : exprs) {
-        // VALUES rows are literal expressions (fold with the evaluator).
-        Config config = server_->EffectiveConfig(session_);
-        Binder binder(&server_->catalog_, &config, session_->database);
-        binder.set_table_resolver(server_->TempResolver(session_));
         HIVE_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindScalar(e, Schema(), ""));
         HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*bound, nullptr));
         row.push_back(std::move(v));
@@ -267,8 +360,7 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
     for (size_t c = 0; c < full.num_fields(); ++c) {
       int src = stmt.columns.empty() ? static_cast<int>(c) : target_index[c];
       if (src < 0 || static_cast<size_t>(src) >= row.size()) continue;
-      auto cast = row[src].CastTo(full.field(c).type);
-      out[c] = cast.ok() ? *cast : Value::Null();
+      out[c] = CastOrNull(row[src], full.field(c).type);
     }
     // NOT NULL constraint enforcement.
     for (const ConstraintDef& constraint : desc.constraints) {
@@ -284,12 +376,7 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
 
   int64_t txn = server_->txns_.OpenTxn();
   auto inserted = InsertRows(desc, shaped, txn);
-  if (!inserted.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return inserted.status();
-  }
-  HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
+  HIVE_RETURN_IF_ERROR(Finish(txn, inserted.status()));
   // Automatic compaction check (Section 3.2). Post-commit and advisory:
   // the insert already committed, and a failed check simply retries after
   // the next write surpasses the thresholds again.
@@ -302,370 +389,143 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
   return result;
 }
 
-Result<std::vector<DmlDriver::TargetRow>> DmlDriver::ScanTargets(
-    const TableDesc& desc, const ExprPtr& bound_where) {
-  std::vector<TargetRow> out;
-  Schema full = desc.FullSchema();
-  size_t data_width = desc.schema.num_fields();
+Result<TableDesc> DmlDriver::AcidTarget(const std::string& db, const std::string& table,
+                                        const std::string& verb) const {
+  auto [resolved_db, resolved_table] = ResolveTarget(db, table);
+  HIVE_ASSIGN_OR_RETURN(TableDesc desc,
+                        server_->catalog_.GetTable(resolved_db, resolved_table));
+  if (!desc.is_acid) return Status::NotSupported(verb + " requires a transactional table");
+  return desc;
+}
 
-  struct Location {
-    std::string path;
-    std::string resource;
-    std::vector<Value> part_values;
+Result<QueryResult> DmlDriver::ReadAndWrite(const TableDesc& desc, const SelectStmt& read,
+                                            const ApplyRow& apply) {
+  // The txn must open BEFORE the read: first-commit-wins compares
+  // conflicting commits against the txn's start sequence, so a read
+  // performed before the start would let a peer's commit slip between read
+  // and open undetected.
+  int64_t txn = server_->txns_.OpenTxn();
+  QueryResult result;
+  auto write = [&]() -> Status {
+    HIVE_ASSIGN_OR_RETURN(QueryResult targets, RunSelect(read));
+    HIVE_ASSIGN_OR_RETURN(int64_t write_id,
+                          server_->txns_.AllocateWriteId(txn, desc.FullName()));
+    TableWriter writer(server_, desc, txn, write_id);
+    for (const std::vector<Value>& row : targets.rows) {
+      HIVE_ASSIGN_OR_RETURN(int64_t affected, apply(row, &writer));
+      result.rows_affected += affected;
+    }
+    return writer.Commit();
   };
-  std::vector<Location> locations;
-  if (desc.IsPartitioned()) {
-    HIVE_ASSIGN_OR_RETURN(std::vector<PartitionInfo> parts,
-                          server_->catalog_.GetPartitions(desc.db, desc.name));
-    for (const PartitionInfo& p : parts) {
-      std::string dir = Catalog::PartitionDirName(desc.partition_cols, p.values);
-      locations.push_back({p.location, desc.FullName() + "/" + dir, p.values});
-    }
-  } else {
-    locations.push_back({desc.location, desc.FullName(), {}});
-  }
-
-  // Hold a reader scope so compaction cleaning defers until this target
-  // scan drains (UPDATE/DELETE race post-write compactions from peers).
-  CompactionManager::ReadScope read_scope(&server_->compaction_);
-  TxnSnapshot snapshot = server_->txns_.GetSnapshot();
-  ValidWriteIdList write_ids =
-      server_->txns_.GetValidWriteIds(desc.FullName(), snapshot);
-
-  for (const Location& location : locations) {
-    AcidReader reader(server_->fs_, location.path, desc.schema);
-    AcidScanOptions options;
-    options.include_row_ids = true;
-    HIVE_RETURN_IF_ERROR(reader.Open(write_ids, options));
-    bool done = false;
-    for (;;) {
-      HIVE_ASSIGN_OR_RETURN(RowBatch batch, reader.NextBatch(&done));
-      if (done) break;
-      for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-        int32_t row = batch.SelectedRow(i);
-        TargetRow target;
-        target.location = location.path;
-        target.resource = location.resource;
-        target.values.reserve(full.num_fields());
-        for (size_t c = 0; c < data_width; ++c)
-          target.values.push_back(batch.column(c)->GetValue(row));
-        for (const Value& v : location.part_values) target.values.push_back(v);
-        target.id.write_id = batch.column(data_width)->GetI64(row);
-        target.id.bucket = batch.column(data_width + 1)->GetI64(row);
-        target.id.row_id = batch.column(data_width + 2)->GetI64(row);
-        if (bound_where) {
-          HIVE_ASSIGN_OR_RETURN(Value keep, EvalExpr(*bound_where, &target.values));
-          if (!IsTrue(keep)) continue;
-        }
-        out.push_back(std::move(target));
-      }
-    }
-  }
-  return out;
+  HIVE_RETURN_IF_ERROR(Finish(txn, write()));
+  // lint: allow-discard(post-commit compaction is advisory)
+  (void)server_->compaction_.MaybeCompact(desc.db, desc.name);
+  return result;
 }
 
 Result<QueryResult> DmlDriver::Update(const UpdateStatement& stmt) {
-  auto [db, table] = ResolveTarget(stmt.db, stmt.table);
-  HIVE_ASSIGN_OR_RETURN(TableDesc desc, server_->catalog_.GetTable(db, table));
-  if (!desc.is_acid)
-    return Status::NotSupported("UPDATE requires a transactional table");
-  Schema full = desc.FullSchema();
-  Config config = server_->EffectiveConfig(session_);
-  Binder binder(&server_->catalog_, &config, session_->database);
-  binder.set_table_resolver(server_->TempResolver(session_));
-
-  ExprPtr bound_where;
-  if (stmt.where) {
-    HIVE_ASSIGN_OR_RETURN(bound_where, binder.BindScalar(stmt.where, full, desc.name));
-  }
-  std::vector<std::pair<size_t, ExprPtr>> assignments;
-  for (const auto& [column, expr] : stmt.assignments) {
-    auto idx = full.IndexOf(column);
-    if (!idx) return Status::PlanError("unknown column " + column);
-    if (*idx >= desc.schema.num_fields())
-      return Status::NotSupported("cannot UPDATE a partition column");
-    HIVE_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindScalar(expr, full, desc.name));
-    assignments.push_back({*idx, bound});
-  }
-
-  // Update = delete + insert in one transaction (Section 3.2). The txn must
-  // open BEFORE targets are scanned: first-commit-wins compares conflicting
-  // commits against the txn's start sequence, so a read performed before the
-  // start would let a peer's commit slip between read and open undetected.
-  int64_t txn = server_->txns_.OpenTxn();
-  auto targets_or = ScanTargets(desc, bound_where);
-  if (!targets_or.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return targets_or.status();
-  }
-  std::vector<TargetRow> targets = std::move(*targets_or);
-  auto apply = [&]() -> Status {
-    HIVE_ASSIGN_OR_RETURN(int64_t write_id,
-                          server_->txns_.AllocateWriteId(txn, desc.FullName()));
-    TxnWriters writers(server_->fs_, desc.schema, write_id);
-    for (const TargetRow& target : targets) {
-      HIVE_RETURN_IF_ERROR(server_->txns_.RecordWriteSet(txn, target.resource,
-                                                         WriteOpKind::kUpdateDelete));
-      HIVE_RETURN_IF_ERROR(
-          server_->txns_.AcquireLock(txn, target.resource, LockMode::kShared));
-      AcidWriter* writer = writers.ForLocation(target.location);
-      writer->Delete(target.id);
-      std::vector<Value> new_row(target.values.begin(),
-                                 target.values.begin() + desc.schema.num_fields());
-      for (const auto& [ordinal, expr] : assignments) {
-        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, &target.values));
-        auto cast = v.CastTo(full.field(ordinal).type);
-        new_row[ordinal] = cast.ok() ? *cast : Value::Null();
-      }
-      writer->Insert(new_row);
-    }
-    return writers.CommitAll();
-  };
-  Status status = apply();
-  if (!status.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return status;
-  }
-  HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
-  QueryResult result;
-  result.rows_affected = static_cast<int64_t>(targets.size());
-  if (desc.is_acid) {
-    // lint: allow-discard(post-commit compaction is advisory)
-    (void)server_->compaction_.MaybeCompact(db, table);
-  }
-  return result;
+  HIVE_ASSIGN_OR_RETURN(TableDesc desc, AcidTarget(stmt.db, stmt.table, "UPDATE"));
+  // SELECT <record id>, <partition values>, <updated row> FROM t WHERE p:
+  // each output row becomes a delete plus an insert (Section 3.2).
+  std::vector<SelectItem> items = RecordIdAndPartition(desc, stmt.table);
+  const size_t updated_at = items.size();
+  HIVE_ASSIGN_OR_RETURN(std::vector<SelectItem> updated,
+                        UpdatedRow(desc, stmt.table, stmt.assignments));
+  items.insert(items.end(), updated.begin(), updated.end());
+  return ReadAndWrite(
+      desc, MakeSelect(std::move(items), TargetRef(desc, stmt.table), stmt.where),
+      [&](const std::vector<Value>& row, TableWriter* writer) -> Result<int64_t> {
+        HIVE_RETURN_IF_ERROR(WriteUpdate(desc, row, updated_at, writer));
+        return 1;
+      });
 }
 
 Result<QueryResult> DmlDriver::Delete(const DeleteStatement& stmt) {
-  auto [db, table] = ResolveTarget(stmt.db, stmt.table);
-  HIVE_ASSIGN_OR_RETURN(TableDesc desc, server_->catalog_.GetTable(db, table));
-  if (!desc.is_acid)
-    return Status::NotSupported("DELETE requires a transactional table");
-  Config config = server_->EffectiveConfig(session_);
-  Binder binder(&server_->catalog_, &config, session_->database);
-  binder.set_table_resolver(server_->TempResolver(session_));
-  ExprPtr bound_where;
-  if (stmt.where) {
-    HIVE_ASSIGN_OR_RETURN(bound_where,
-                          binder.BindScalar(stmt.where, desc.FullSchema(), desc.name));
-  }
-  // As in Update: open before reading so conflicting commits are detected.
-  int64_t txn = server_->txns_.OpenTxn();
-  auto targets_or = ScanTargets(desc, bound_where);
-  if (!targets_or.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return targets_or.status();
-  }
-  std::vector<TargetRow> targets = std::move(*targets_or);
-  auto apply = [&]() -> Status {
-    HIVE_ASSIGN_OR_RETURN(int64_t write_id,
-                          server_->txns_.AllocateWriteId(txn, desc.FullName()));
-    TxnWriters writers(server_->fs_, desc.schema, write_id);
-    for (const TargetRow& target : targets) {
-      HIVE_RETURN_IF_ERROR(server_->txns_.RecordWriteSet(txn, target.resource,
-                                                         WriteOpKind::kUpdateDelete));
-      HIVE_RETURN_IF_ERROR(
-          server_->txns_.AcquireLock(txn, target.resource, LockMode::kShared));
-      writers.ForLocation(target.location)->Delete(target.id);
-    }
-    return writers.CommitAll();
-  };
-  Status status = apply();
-  if (!status.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return status;
-  }
-  HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
-  QueryResult result;
-  result.rows_affected = static_cast<int64_t>(targets.size());
-  // lint: allow-discard(post-commit compaction is advisory)
-  (void)server_->compaction_.MaybeCompact(db, table);
-  return result;
+  HIVE_ASSIGN_OR_RETURN(TableDesc desc, AcidTarget(stmt.db, stmt.table, "DELETE"));
+  // SELECT <record id>, <partition values> FROM t WHERE p.
+  return ReadAndWrite(
+      desc,
+      MakeSelect(RecordIdAndPartition(desc, stmt.table), TargetRef(desc, stmt.table),
+                 stmt.where),
+      [&](const std::vector<Value>& row, TableWriter* writer) -> Result<int64_t> {
+        HIVE_RETURN_IF_ERROR(writer->Delete(PartitionValues(desc, row), RecordIdOf(row)));
+        return 1;
+      });
 }
 
 Result<QueryResult> DmlDriver::Merge(const MergeStatement& stmt) {
-  auto [db, table] = ResolveTarget(stmt.db, stmt.table);
-  HIVE_ASSIGN_OR_RETURN(TableDesc desc, server_->catalog_.GetTable(db, table));
-  if (!desc.is_acid)
-    return Status::NotSupported("MERGE requires a transactional table");
-  Schema target_schema = desc.FullSchema();
-  std::string target_alias =
-      stmt.target_alias.empty() ? desc.name : stmt.target_alias;
+  HIVE_ASSIGN_OR_RETURN(TableDesc desc, AcidTarget(stmt.db, stmt.table, "MERGE"));
+  const bool has_matched = stmt.has_matched_update || stmt.has_matched_delete;
+  if (!has_matched && !stmt.has_not_matched_insert) return QueryResult{};
+  const std::string alias = stmt.target_alias.empty() ? stmt.table : stmt.target_alias;
 
-  // Materialize the source.
-  SelectStmt source_query;
-  auto core_body = std::make_shared<QueryExpr>();
-  core_body->op = SetOpKind::kNone;
-  SelectItem star;
-  auto star_expr = std::make_shared<Expr>();
-  star_expr->kind = ExprKind::kStar;
-  star.expr = star_expr;
-  core_body->core.items.push_back(star);
-  core_body->core.from = stmt.source;
-  source_query.body = core_body;
-  HIVE_ASSIGN_OR_RETURN(QueryResult source, RunSelect(source_query));
-  const Schema& source_schema = source.schema;
-  std::string source_alias = stmt.source->alias;
-
-  Config config = server_->EffectiveConfig(session_);
-  Binder binder(&server_->catalog_, &config, session_->database);
-  binder.set_table_resolver(server_->TempResolver(session_));
-  std::vector<std::pair<std::string, Schema>> scopes = {
-      {target_alias, target_schema}, {source_alias, source_schema}};
-  HIVE_ASSIGN_OR_RETURN(ExprPtr on, binder.BindAgainst(stmt.on, scopes));
-
-  ExprPtr matched_update_cond, matched_delete_cond;
-  std::vector<std::pair<size_t, ExprPtr>> assignments;
-  if (stmt.has_matched_update) {
-    for (const auto& [column, expr] : stmt.matched_assignments) {
-      auto idx = target_schema.IndexOf(column);
-      if (!idx) return Status::PlanError("unknown column " + column);
-      HIVE_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindAgainst(expr, scopes));
-      assignments.push_back({*idx, bound});
-    }
-    if (stmt.matched_update_condition) {
-      HIVE_ASSIGN_OR_RETURN(matched_update_cond,
-                            binder.BindAgainst(stmt.matched_update_condition, scopes));
-    }
-  }
-  if (stmt.has_matched_delete && stmt.matched_delete_condition) {
-    HIVE_ASSIGN_OR_RETURN(matched_delete_cond,
-                          binder.BindAgainst(stmt.matched_delete_condition, scopes));
-  }
-  std::vector<ExprPtr> insert_values;
-  for (const ExprPtr& e : stmt.insert_values) {
-    HIVE_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindAgainst(e, scopes));
-    insert_values.push_back(bound);
-  }
-
-  // As in Update: open before reading so conflicting commits are detected.
-  int64_t txn = server_->txns_.OpenTxn();
-  auto targets_or = ScanTargets(desc, nullptr);
-  if (!targets_or.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return targets_or.status();
-  }
-  std::vector<TargetRow> targets = std::move(*targets_or);
-  int64_t affected = 0;
-  auto apply = [&]() -> Status {
-    HIVE_ASSIGN_OR_RETURN(int64_t write_id,
-                          server_->txns_.AllocateWriteId(txn, desc.FullName()));
-    TxnWriters writers(server_->fs_, desc.schema, write_id);
-    std::vector<bool> source_matched(source.rows.size(), false);
-    size_t target_width = target_schema.num_fields();
-
-    for (const TargetRow& target : targets) {
-      for (size_t s = 0; s < source.rows.size(); ++s) {
-        std::vector<Value> combined = target.values;
-        combined.insert(combined.end(), source.rows[s].begin(), source.rows[s].end());
-        HIVE_ASSIGN_OR_RETURN(Value match, EvalExpr(*on, &combined));
-        if (!IsTrue(match)) continue;
-        source_matched[s] = true;
-        // WHEN MATCHED: delete first (Hive evaluates clauses in order; this
-        // engine applies DELETE before UPDATE when both match).
-        if (stmt.has_matched_delete) {
-          bool do_delete = true;
-          if (matched_delete_cond) {
-            HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*matched_delete_cond, &combined));
-            do_delete = IsTrue(v);
-          }
-          if (do_delete) {
-            HIVE_RETURN_IF_ERROR(server_->txns_.RecordWriteSet(
-                txn, target.resource, WriteOpKind::kUpdateDelete));
-            writers.ForLocation(target.location)->Delete(target.id);
-            ++affected;
-            break;
-          }
-        }
-        if (stmt.has_matched_update) {
-          bool do_update = true;
-          if (matched_update_cond) {
-            HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*matched_update_cond, &combined));
-            do_update = IsTrue(v);
-          }
-          if (do_update) {
-            HIVE_RETURN_IF_ERROR(server_->txns_.RecordWriteSet(
-                txn, target.resource, WriteOpKind::kUpdateDelete));
-            AcidWriter* writer = writers.ForLocation(target.location);
-            writer->Delete(target.id);
-            std::vector<Value> new_row(target.values.begin(),
-                                       target.values.begin() + desc.schema.num_fields());
-            for (const auto& [ordinal, expr] : assignments) {
-              HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, &combined));
-              auto cast = v.CastTo(target_schema.field(ordinal).type);
-              new_row[ordinal] = cast.ok() ? *cast : Value::Null();
-            }
-            writer->Insert(new_row);
-            ++affected;
-            break;
-          }
-        }
-        break;  // matched; only first match acts
-      }
-    }
-
-    // WHEN NOT MATCHED THEN INSERT.
-    if (stmt.has_not_matched_insert) {
-      std::vector<std::vector<Value>> inserts;
-      for (size_t s = 0; s < source.rows.size(); ++s) {
-        if (source_matched[s]) continue;
-        std::vector<Value> combined(target_width, Value::Null());
-        combined.insert(combined.end(), source.rows[s].begin(), source.rows[s].end());
-        std::vector<Value> row;
-        for (size_t i = 0; i < insert_values.size(); ++i) {
-          HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*insert_values[i], &combined));
-          auto cast = i < target_schema.num_fields()
-                          ? v.CastTo(target_schema.field(i).type)
-                          : Result<Value>(v);
-          row.push_back(cast.ok() ? *cast : Value::Null());
-        }
-        inserts.push_back(std::move(row));
-        ++affected;
-      }
-      if (!inserts.empty()) {
-        // Route through the shared insert machinery (handles partitions).
-        size_t data_width = desc.schema.num_fields();
-        std::map<std::string, std::vector<Value>> new_partitions;
-        for (const auto& row : inserts) {
-          std::string location = desc.location;
-          std::string resource = desc.FullName();
-          if (desc.IsPartitioned()) {
-            std::vector<Value> part_values(row.begin() + data_width, row.end());
-            std::string dir =
-                Catalog::PartitionDirName(desc.partition_cols, part_values);
-            location = JoinPath(desc.location, dir);
-            resource += "/" + dir;
-            new_partitions.emplace(dir, part_values);
-          }
-          HIVE_RETURN_IF_ERROR(
-              server_->txns_.RecordWriteSet(txn, resource, WriteOpKind::kInsert));
-          std::vector<Value> data_row(row.begin(), row.begin() + data_width);
-          writers.ForLocation(location)->Insert(data_row);
-        }
-        for (const auto& [dir, values] : new_partitions)
-          HIVE_RETURN_IF_ERROR(
-              server_->catalog_.AddPartition(desc.db, desc.name, values));
-      }
-    }
-    return writers.CommitAll();
+  // One read over source LEFT JOIN target ON <on> (an inner join when no
+  // NOT MATCHED clause can insert). Each output row carries the target's
+  // record id and partition values (NULL when unmatched), the updated
+  // target row, the values to insert, and last the action its WHEN clauses
+  // pick: CASE [WHEN <unmatched> THEN 'insert'] [WHEN <cond> THEN 'delete']
+  // [WHEN <cond> THEN 'update'] END — a matched DELETE before UPDATE.
+  std::vector<SelectItem> items = RecordIdAndPartition(desc, alias);
+  auto action = std::make_shared<Expr>();
+  action->kind = ExprKind::kCase;
+  auto when = [&](ExprPtr condition, const char* name) {
+    action->children.push_back(condition ? condition : MakeLiteral(Value::Boolean(true)));
+    action->children.push_back(MakeLiteral(Value::String(name)));
   };
-  Status status = apply();
-  if (!status.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return status;
+  if (stmt.has_not_matched_insert) {
+    auto unmatched = std::make_shared<Expr>();
+    unmatched->kind = ExprKind::kIsNull;
+    unmatched->children = {MakeColumnRef(alias, kAcidWriteIdCol)};
+    when(unmatched, "insert");
   }
-  HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
-  QueryResult result;
-  result.rows_affected = affected;
-  // lint: allow-discard(post-commit compaction is advisory)
-  (void)server_->compaction_.MaybeCompact(db, table);
-  return result;
+  if (stmt.has_matched_delete) when(stmt.matched_delete_condition, "delete");
+  const size_t updated_at = items.size();
+  if (stmt.has_matched_update) {
+    when(stmt.matched_update_condition, "update");
+    HIVE_ASSIGN_OR_RETURN(std::vector<SelectItem> updated,
+                          UpdatedRow(desc, alias, stmt.matched_assignments));
+    items.insert(items.end(), updated.begin(), updated.end());
+  }
+  const size_t insert_at = items.size();
+  for (const ExprPtr& value : stmt.insert_values) items.push_back({value, ""});
+  items.push_back({action, ""});
+
+  auto join = std::make_shared<TableRef>();
+  join->kind = TableRef::Kind::kJoin;
+  join->join_type = stmt.has_not_matched_insert ? TableRef::JoinType::kLeft
+                                                : TableRef::JoinType::kInner;
+  join->left = stmt.source;
+  join->right = TargetRef(desc, alias);
+  join->condition = stmt.on;
+
+  Schema full = desc.FullSchema();
+  // Record ids are unique within one partition directory.
+  std::map<std::string, std::unordered_set<RecordId, RecordIdHash>> matched;
+  return ReadAndWrite(
+      desc, MakeSelect(std::move(items), join, nullptr),
+      [&](const std::vector<Value>& row, TableWriter* writer) -> Result<int64_t> {
+        std::vector<Value> part_values = PartitionValues(desc, row);
+        if (has_matched && !row[0].is_null()) {
+          std::string dir = Catalog::PartitionDirName(desc.partition_cols, part_values);
+          if (!matched[dir].insert(RecordIdOf(row)).second)
+            return Status::InvalidArgument(
+                "MERGE cardinality violation: a target row matches more than one "
+                "source row");
+        }
+        const Value& act = row.back();
+        if (act.is_null()) return 0;
+        if (act.str() == "insert") {
+          std::vector<Value> inserted(full.num_fields(), Value::Null());
+          for (size_t c = 0; c < inserted.size() && c < stmt.insert_values.size(); ++c)
+            inserted[c] = CastOrNull(row[insert_at + c], full.field(c).type);
+          HIVE_RETURN_IF_ERROR(writer->Insert(inserted));
+        } else if (act.str() == "delete") {
+          HIVE_RETURN_IF_ERROR(writer->Delete(part_values, RecordIdOf(row)));
+        } else {
+          HIVE_RETURN_IF_ERROR(WriteUpdate(desc, row, updated_at, writer));
+        }
+        return 1;
+      });
 }
 
 Result<QueryResult> DmlDriver::CreateMaterializedView(
@@ -710,12 +570,7 @@ Result<QueryResult> DmlDriver::CreateMaterializedView(
 
   int64_t txn = server_->txns_.OpenTxn();
   auto inserted = InsertRows(created, rows.rows, txn);
-  if (!inserted.ok()) {
-    // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-    return inserted.status();
-  }
-  HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
+  HIVE_RETURN_IF_ERROR(Finish(txn, inserted.status()));
   QueryResult result;
   result.rows_affected = *inserted;
   return result;
@@ -758,37 +613,24 @@ Result<QueryResult> DmlDriver::RebuildMaterializedView(
     result.rows_affected = static_cast<int64_t>(delta.rows.size());
     if (!delta.rows.empty()) {
       int64_t txn = server_->txns_.OpenTxn();
-      auto inserted = InsertRows(view, delta.rows, txn);
-      if (!inserted.ok()) {
-        // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-        return inserted.status();
-      }
-      HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
+      HIVE_RETURN_IF_ERROR(Finish(txn, InsertRows(view, delta.rows, txn).status()));
     }
   } else {
     // Full rebuild: recompute under an exclusive lock and replace contents.
     int64_t txn = server_->txns_.OpenTxn();
-    Status lock = server_->txns_.AcquireLock(txn, view.FullName(), LockMode::kExclusive);
-    if (!lock.ok()) {
-      // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-      return lock;
-    }
-    HIVE_ASSIGN_OR_RETURN(QueryResult rows, RunSelect(select->select));
-    HIVE_RETURN_IF_ERROR(server_->fs_->DeleteRecursive(view.location));
-    HIVE_RETURN_IF_ERROR(server_->fs_->MakeDirs(view.location));
-    TableDesc reset = view;
-    reset.stats = TableStatistics{};
-    HIVE_RETURN_IF_ERROR(server_->catalog_.UpdateTable(reset));
-    auto inserted = InsertRows(view, rows.rows, txn);
-    if (!inserted.ok()) {
-      // lint: allow-discard(best-effort abort while propagating the original error)
-    (void)server_->txns_.AbortTxn(txn);
-      return inserted.status();
-    }
-    HIVE_RETURN_IF_ERROR(server_->txns_.CommitTxn(txn));
-    result.rows_affected = *inserted;
+    auto rebuild = [&]() -> Status {
+      HIVE_RETURN_IF_ERROR(
+          server_->txns_.AcquireLock(txn, view.FullName(), LockMode::kExclusive));
+      HIVE_ASSIGN_OR_RETURN(QueryResult rows, RunSelect(select->select));
+      HIVE_RETURN_IF_ERROR(server_->fs_->DeleteRecursive(view.location));
+      HIVE_RETURN_IF_ERROR(server_->fs_->MakeDirs(view.location));
+      TableDesc reset = view;
+      reset.stats = TableStatistics{};
+      HIVE_RETURN_IF_ERROR(server_->catalog_.UpdateTable(reset));
+      HIVE_ASSIGN_OR_RETURN(result.rows_affected, InsertRows(view, rows.rows, txn));
+      return Status::OK();
+    };
+    HIVE_RETURN_IF_ERROR(Finish(txn, rebuild()));
   }
 
   // Refresh the staleness bookkeeping.
@@ -806,22 +648,12 @@ Result<QueryResult> DmlDriver::Analyze(const AnalyzeTableStatement& stmt) {
   auto [db, table] = ResolveTarget(stmt.db, stmt.table);
   HIVE_ASSIGN_OR_RETURN(TableDesc desc, server_->catalog_.GetTable(db, table));
   // Recompute statistics with a full scan of the table.
-  SelectStmt query;
-  auto body = std::make_shared<QueryExpr>();
-  body->op = SetOpKind::kNone;
-  SelectItem star;
-  auto star_expr = std::make_shared<Expr>();
-  star_expr->kind = ExprKind::kStar;
-  star.expr = star_expr;
-  body->core.items.push_back(star);
+  auto star = std::make_shared<Expr>();
+  star->kind = ExprKind::kStar;
   auto from = std::make_shared<TableRef>();
-  from->kind = TableRef::Kind::kTable;
   from->db = db;
-  from->table = stmt.table;
-  from->alias = stmt.table;
-  body->core.from = from;
-  query.body = body;
-  HIVE_ASSIGN_OR_RETURN(QueryResult rows, RunSelect(query));
+  from->table = table;
+  HIVE_ASSIGN_OR_RETURN(QueryResult rows, RunSelect(MakeSelect({{star, ""}}, from, nullptr)));
 
   HIVE_ASSIGN_OR_RETURN(TableDesc updated, server_->catalog_.GetTable(db, table));
   updated.stats = ComputeStats(desc.FullSchema(), rows.rows);

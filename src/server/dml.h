@@ -1,19 +1,29 @@
 #ifndef HIVE_SERVER_DML_H_
 #define HIVE_SERVER_DML_H_
 
+#include <functional>
+
 #include "server/hive_server.h"
 
 namespace hive {
+
+class TableWriter;
 
 /// Drives DML statements and materialized-view lifecycle against the ACID
 /// layer (Section 3.2):
 ///  * INSERT writes delta directories (routing rows to partitions and
 ///    registering new partitions on the fly),
-///  * UPDATE/DELETE scan with row ids and write delete+insert deltas,
-///    tracking their write sets for first-commit-wins conflict resolution,
-///  * MERGE joins the target against the source and applies the matched /
-///    not-matched actions in a single transaction (exercising multi-action
-///    writes),
+///  * UPDATE, DELETE and MERGE compile into one SELECT over the target that
+///    returns the record id — (WriteId, BucketId, RowId) — of every affected
+///    row plus the values to write, run it through the normal statement
+///    path, and turn its output rows into delete/insert deltas under one
+///    transaction (an UPDATE is a delete plus an insert). MERGE reads
+///    `source LEFT JOIN target ON ...`; its WHEN clauses come back as an
+///    action column, so DmlDriver evaluates no expression. The reads get
+///    everything a SELECT has: LLAP cache, row-group skipping, morsel
+///    parallelism, the memory governor, deadlines, cancellation and task
+///    retries. Write sets and shared locks are recorded per partition for
+///    first-commit-wins conflict resolution,
 ///  * CREATE MATERIALIZED VIEW materializes its definition and records the
 ///    per-source write-id snapshot; REBUILD maintains it incrementally when
 ///    the sources only saw inserts, falling back to a full rebuild
@@ -49,18 +59,24 @@ class DmlDriver {
   Result<int64_t> InsertRows(const TableDesc& desc,
                              const std::vector<std::vector<Value>>& rows, int64_t txn);
 
-  /// A scanned record eligible for update/delete.
-  struct TargetRow {
-    std::string location;           // partition (or table) directory
-    std::string resource;           // lock/write-set resource name
-    RecordId id;
-    std::vector<Value> values;      // full-schema order
-  };
+  /// Commits `txn` when `status` is OK; otherwise aborts it (best effort)
+  /// and returns `status`.
+  Status Finish(int64_t txn, const Status& status);
 
-  /// Scans the target table, returning rows matching `where` (bound over
-  /// the full schema; null = all rows) together with their record ids.
-  Result<std::vector<TargetRow>> ScanTargets(const TableDesc& desc,
-                                             const ExprPtr& bound_where);
+  /// Resolves the target of `verb` (UPDATE/DELETE/MERGE), which must be a
+  /// transactional table.
+  Result<TableDesc> AcidTarget(const std::string& db, const std::string& table,
+                               const std::string& verb) const;
+
+  /// Writes one output row of a DML read; returns the rows it affected.
+  using ApplyRow =
+      std::function<Result<int64_t>(const std::vector<Value>& row, TableWriter* writer)>;
+
+  /// Opens a transaction, runs `read` (a SELECT over `desc` led by its
+  /// record id and partition values), applies every output row through one
+  /// writer, commits, and runs the post-commit compaction check.
+  Result<QueryResult> ReadAndWrite(const TableDesc& desc, const SelectStmt& read,
+                                   const ApplyRow& apply);
 
   /// Computes additive column statistics for freshly inserted rows.
   static TableStatistics ComputeStats(const Schema& schema,

@@ -18,6 +18,10 @@ HiveServer2::HiveServer2(FileSystem* fs, Config config)
       plan_cache_(static_cast<size_t>(std::max(config.plan_cache_capacity, 0))),
       connections_(this, &catalog_, &result_cache_, fs_, &wm_, &metrics_) {
   llap_ = std::make_unique<LlapDaemon>(fs_, default_config_);
+  // Compaction cleanup deletes superseded files; their cached chunks go too.
+  LlapCacheProvider* cache = llap_->cache();
+  compaction_.set_clean_listener(
+      [cache](const std::string& location) { cache->InvalidateDeletedFiles(location); });
   handlers_.Register(std::make_unique<DroidStorageHandler>(&droid_));
   handlers_.Register(std::make_unique<CsvStorageHandler>(fs_));
   // Hidden home of session temp tables; created eagerly so the first
@@ -103,10 +107,6 @@ void HiveServer2::RegisterEngineMetrics() {
 
 Connection HiveServer2::Connect(const std::string& application) {
   return connections_.Connect(application, default_config_);
-}
-
-Session* HiveServer2::OpenSession(const std::string& application) {
-  return connections_.OpenUnowned(application, default_config_);
 }
 
 Result<QueryResult> HiveServer2::ExecuteOn(Session* session, const std::string& sql) {

@@ -58,23 +58,6 @@ class HiveServer2 {
   /// executing statements; it must not outlive the server.
   Connection Connect(const std::string& application = "");
 
-  [[deprecated("use Connect(); the returned Connection owns the session")]]
-  Session* OpenSession(const std::string& application = "");
-
-  /// Executes one SQL statement in the session.
-  [[deprecated("use Connection::Execute")]]
-  Result<QueryResult> Execute(Session* session, const std::string& sql) {
-    return ExecuteOn(session, sql);
-  }
-
-  /// Runs a ';'-separated script, returning every statement's result in
-  /// order. Fails on the first statement that errors.
-  [[deprecated("use Connection::ExecuteScript")]]
-  Result<std::vector<QueryResult>> ExecuteScript(Session* session,
-                                                 const std::string& sql) {
-    return ExecuteScriptOn(session, sql);
-  }
-
   // --- component access (benchmarks / tests) ---
   Catalog* catalog() { return &catalog_; }
   TransactionManager* txns() { return &txns_; }
@@ -125,9 +108,9 @@ class HiveServer2 {
   /// transaction + compaction managers); called once from the constructor.
   void RegisterEngineMetrics();
 
-  /// Statement entry points behind Connection::Execute/ExecuteScript (and
-  /// the deprecated Session overloads): bracket the dispatch with the
-  /// session's in-flight accounting so Close can drain deterministically.
+  /// Statement entry points behind Connection::Execute/ExecuteScript:
+  /// bracket the dispatch with the session's in-flight accounting so Close
+  /// can drain deterministically.
   Result<QueryResult> ExecuteOn(Session* session, const std::string& sql);
   Result<std::vector<QueryResult>> ExecuteScriptOn(Session* session,
                                                    const std::string& sql);

@@ -57,9 +57,7 @@ AcidDirInfo ParseAcidDirName(const std::string& path) {
 
 Schema AcidFileSchema(const Schema& user_schema) {
   Schema out;
-  out.AddField(kAcidWriteIdCol, DataType::Bigint());
-  out.AddField(kAcidBucketCol, DataType::Bigint());
-  out.AddField(kAcidRowIdCol, DataType::Bigint());
+  for (const char* name : kAcidRecordIdCols) out.AddField(name, DataType::Bigint());
   for (const Field& f : user_schema.fields()) out.AddField(f.name, f.type);
   return out;
 }
@@ -71,9 +69,7 @@ namespace {
 /// multiple write ids).
 Schema DeleteFileSchema() {
   Schema out;
-  out.AddField(kAcidWriteIdCol, DataType::Bigint());
-  out.AddField(kAcidBucketCol, DataType::Bigint());
-  out.AddField(kAcidRowIdCol, DataType::Bigint());
+  for (const char* name : kAcidRecordIdCols) out.AddField(name, DataType::Bigint());
   out.AddField("_acid_deleter_wid", DataType::Bigint());
   return out;
 }
@@ -240,6 +236,8 @@ Status AcidReader::LoadDeleteDeltas(const std::vector<AcidDirInfo>& delete_dirs)
 Status AcidReader::Open(const ValidWriteIdList& snapshot, const AcidScanOptions& options) {
   snapshot_ = snapshot;
   options_ = options;
+  data_files_.clear();  // a retried Open starts over
+  delete_set_.clear();
   if (options_.columns.empty()) {
     for (size_t i = 0; i < user_schema_.num_fields(); ++i)
       options_.columns.push_back(i);
@@ -297,11 +295,8 @@ Result<RowBatch> AcidReader::ReadFileRowGroup(const std::shared_ptr<CofReader>& 
   Schema out_schema;
   for (size_t c : options_.columns)
     out_schema.AddField(user_schema_.field(c).name, user_schema_.field(c).type);
-  if (options_.include_row_ids) {
-    out_schema.AddField(kAcidWriteIdCol, DataType::Bigint());
-    out_schema.AddField(kAcidBucketCol, DataType::Bigint());
-    out_schema.AddField(kAcidRowIdCol, DataType::Bigint());
-  }
+  if (options_.include_row_ids)
+    for (const char* name : kAcidRecordIdCols) out_schema.AddField(name, DataType::Bigint());
   RowBatch out(out_schema);
   for (size_t i = 0; i < n_user; ++i) out.SetColumn(i, raw.column(i));
   if (options_.include_row_ids) {

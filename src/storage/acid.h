@@ -70,6 +70,9 @@ inline constexpr const char* kAcidWriteIdCol = "_acid_write_id";
 inline constexpr const char* kAcidBucketCol = "_acid_bucket";
 inline constexpr const char* kAcidRowIdCol = "_acid_row_id";
 inline constexpr size_t kNumAcidMetaCols = 3;
+/// The record-id columns in file order (all BIGINT).
+inline constexpr const char* kAcidRecordIdCols[kNumAcidMetaCols] = {
+    kAcidWriteIdCol, kAcidBucketCol, kAcidRowIdCol};
 
 /// Prepends the three ACID metadata fields to a user schema.
 Schema AcidFileSchema(const Schema& user_schema);
@@ -141,7 +144,8 @@ class AcidReader {
              ChunkProvider* provider = nullptr);
 
   /// Plans the scan under `snapshot`: resolves directories and loads delete
-  /// deltas. Must be called before NextBatch.
+  /// deltas. Must be called before NextBatch; may be called again after a
+  /// failed attempt.
   Status Open(const ValidWriteIdList& snapshot, const AcidScanOptions& options);
 
   /// Produces the next batch, or an empty optional batch (num_rows 0 and

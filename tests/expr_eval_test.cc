@@ -233,6 +233,32 @@ TEST(VectorEvalTest, MixedNumericComparison) {
   CheckParity(e, batch);
 }
 
+TEST(VectorEvalTest, DateTimeIntervalArithmetic) {
+  // t (TIMESTAMP, micros) and d (DATE, days) plus or minus a day count, the
+  // shape INTERVAL 'n' DAY binds to.
+  Schema schema;
+  schema.AddField("t", DataType::Timestamp());
+  schema.AddField("d", DataType::Date());
+  RowBatch batch(schema);
+  for (int i = 0; i < 50; ++i) {
+    if (i % 7 == 0) {
+      batch.column(0)->AppendNull();
+    } else {
+      batch.column(0)->AppendI64((17532LL + i) * 86400000000LL + i * 3600000000LL);
+    }
+    batch.column(1)->AppendI64(17532 + i);
+  }
+  batch.set_num_rows(50);
+  for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub}) {
+    ExprPtr ts = MakeBinary(op, Col(0, DataType::Timestamp()), Lit(Value::Bigint(1)));
+    ts->type = DataType::Timestamp();
+    CheckParity(ts, batch);
+    ExprPtr date = MakeBinary(op, Col(1, DataType::Date()), Lit(Value::Bigint(3)));
+    date->type = DataType::Date();
+    CheckParity(date, batch);
+  }
+}
+
 TEST(VectorEvalTest, AndOrNullSemantics) {
   RowBatch batch = MakeBatch();
   ExprPtr lhs = MakeBinary(BinaryOp::kGt, Col(0, DataType::Bigint()),

@@ -6,6 +6,7 @@
 
 #include "fs/mem_filesystem.h"
 #include "llap/daemon.h"
+#include "server/hive_server.h"
 #include "storage/acid.h"
 
 namespace hive {
@@ -137,6 +138,30 @@ TEST(LlapCacheTest, MvccViaAcidFileSelection) {
   EXPECT_EQ(count_rows(ValidWriteIdList::All(2)), 2)
       << "newer snapshot unaffected by cached reads of the older one";
   EXPECT_GT(cache.data_hits(), 0u);
+}
+
+TEST(LlapCacheTest, CompactionCleanupDropsChunksOfDeletedFiles) {
+  MemFileSystem fs;
+  Config config;
+  config.container_startup_us = 0;
+  config.compaction_delta_threshold = 3;
+  HiveServer2 server(&fs, config);
+  Connection session = server.Connect();
+  session.config().result_cache_enabled = false;
+  ASSERT_TRUE(session.Execute("CREATE TABLE t (a INT, b STRING)").ok());
+  for (int i = 0; i < 2; ++i)
+    ASSERT_TRUE(session.Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").ok());
+  ASSERT_TRUE(session.Execute("SELECT SUM(a) FROM t").ok());
+  LlapCacheProvider* cache = server.llap()->cache();
+  ASSERT_GT(cache->cached_chunks(), 0u);
+  // The third delta triggers a major compaction; its cleanup deletes both
+  // deltas the SELECT cached, and their chunks leave the cache with them.
+  ASSERT_TRUE(session.Execute("INSERT INTO t VALUES (3, 'z')").ok());
+  ASSERT_EQ(server.compaction()->compactions_run(), 1);
+  EXPECT_EQ(cache->cached_chunks(), 0u);
+  auto sum = session.Execute("SELECT SUM(a) FROM t");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->rows[0][0].i64(), 9);
 }
 
 TEST(LlapDaemonTest, FragmentsRunOnPersistentExecutors) {

@@ -791,18 +791,26 @@ TEST_F(ServerTest, PreparedStatementLifecycleErrors) {
   EXPECT_EQ(foreign.status().code(), StatusCode::kNotFound);
 }
 
-// One-PR compatibility shim: the deprecated OpenSession path must keep
-// working for out-of-tree callers until the next release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(ServerTest, DeprecatedOpenSessionStillExecutes) {
-  Session* legacy = server_->OpenSession("legacy_app");
-  ASSERT_NE(legacy, nullptr);
-  auto r = server_->Execute(legacy, "SELECT 1");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows[0][0].ToString(), "1");
+TEST_F(ServerTest, TimestampPlusIntervalMovesTheTimestamp) {
+  Run("CREATE TABLE ts (t TIMESTAMP)");
+  Run("INSERT INTO ts VALUES (CAST('2018-01-01 00:00:00' AS TIMESTAMP))");
+  QueryResult shifted = Run("SELECT t + INTERVAL '1' DAY, t - INTERVAL '1' DAY FROM ts");
+  ASSERT_EQ(shifted.rows.size(), 1u);
+  EXPECT_EQ(shifted.rows[0][0].ToString(), "2018-01-02 00:00:00");
+  EXPECT_EQ(shifted.rows[0][1].ToString(), "2017-12-31 00:00:00");
+  QueryResult kept = Run(
+      "SELECT COUNT(*) FROM ts "
+      "WHERE t + INTERVAL '1' DAY > CAST('2018-01-01 12:00:00' AS TIMESTAMP)");
+  EXPECT_EQ(kept.rows[0][0].i64(), 1);
 }
-#pragma GCC diagnostic pop
+
+TEST_F(ServerTest, UnixTimestampIsAnUnknownFunctionAtPlanTime) {
+  Run("CREATE TABLE t (a INT)");
+  auto result = session_.Execute("SELECT UNIX_TIMESTAMP() FROM t");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kPlanError) << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find("unknown function"), std::string::npos);
+}
 
 }  // namespace
 }  // namespace hive
