@@ -265,19 +265,23 @@ Result<RowBatch> ScanOperator::PostProcess(RowBatch raw, const Location& loc) co
       out.SetColumn(i, raw.column(raw.num_columns() - kNumAcidMetaCols +
                                   output_from_record_id_[i]));
     } else {
-      auto col = std::make_shared<ColumnVector>(out_schema_.field(i).type);
-      const Value& v = loc.partition_values[output_from_part_[i]];
+      const DataType& type = out_schema_.field(i).type;
+      auto col = std::make_shared<ColumnVector>(type);
+      // The column's own representation: a DECIMAL partition value
+      // broadcasts its unscaled payload at the column's scale.
+      HIVE_ASSIGN_OR_RETURN(Value v,
+                            loc.partition_values[output_from_part_[i]].CastTo(type));
       col->Resize(n);
       if (v.is_null()) {
         std::fill(col->validity().begin(), col->validity().end(), 0);
       } else {
         std::fill(col->validity().begin(), col->validity().end(), 1);
-        if (out_schema_.field(i).type.kind == TypeKind::kDouble)
-          std::fill(col->f64_data().begin(), col->f64_data().end(), v.AsDouble());
-        else if (out_schema_.field(i).type.kind == TypeKind::kString)
+        if (type.kind == TypeKind::kDouble)
+          std::fill(col->f64_data().begin(), col->f64_data().end(), v.f64());
+        else if (type.kind == TypeKind::kString)
           std::fill(col->str_data().begin(), col->str_data().end(), v.str());
         else
-          std::fill(col->i64_data().begin(), col->i64_data().end(), v.AsInt64());
+          std::fill(col->i64_data().begin(), col->i64_data().end(), v.i64());
       }
       out.SetColumn(i, std::move(col));
     }

@@ -203,22 +203,18 @@ void LlapCacheProvider::Clear() {
   metadata_.clear();
 }
 
-void LlapCacheProvider::InvalidateDeletedFiles(const std::string& dir) {
-  const std::string prefix = dir + "/";
-  std::vector<std::pair<std::string, uint64_t>> cached;
+void LlapCacheProvider::InvalidateDirs(const std::vector<std::string>& dirs) {
+  std::unordered_set<uint64_t> deleted;
   {
     MutexLock lock(&metadata_mu_);
-    for (auto it = metadata_.lower_bound(prefix);
-         it != metadata_.end() && it->first.compare(0, prefix.size(), prefix) == 0; ++it)
-      cached.push_back({it->first, it->second.first});
-  }
-  std::unordered_set<uint64_t> deleted;
-  for (const auto& [path, file_id] : cached) {
-    if (fs_->Exists(path)) continue;
-    deleted.insert(file_id);
-    MutexLock lock(&metadata_mu_);
-    auto it = metadata_.find(path);
-    if (it != metadata_.end() && it->second.first == file_id) metadata_.erase(it);
+    for (const std::string& dir : dirs) {
+      const std::string prefix = dir + "/";
+      auto it = metadata_.lower_bound(prefix);
+      while (it != metadata_.end() && it->first.compare(0, prefix.size(), prefix) == 0) {
+        deleted.insert(it->second.first);
+        it = metadata_.erase(it);
+      }
+    }
   }
   if (!deleted.empty())
     data_cache_.EraseIf(

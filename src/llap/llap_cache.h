@@ -49,10 +49,10 @@ class LlapCacheProvider : public ChunkProvider {
   /// history: a restarted daemon re-admits degraded files.
   void Clear();
 
-  /// Drops the cached footers and chunks of files under `dir` that no
-  /// longer exist (compaction cleanup deleted them), so superseded files
-  /// stop holding cache memory.
-  void InvalidateDeletedFiles(const std::string& dir);
+  /// Drops the cached footers and chunks of every file under `dirs`, the
+  /// directories compaction cleanup deleted, so superseded files stop
+  /// holding cache memory.
+  void InvalidateDirs(const std::vector<std::string>& dirs);
 
   /// Test hook: silently corrupts up to `n` cached chunks *without*
   /// refreshing their stored fingerprints, simulating cache poisoning.

@@ -69,9 +69,12 @@ Status CompactionManager::CompactLocation(const std::string& location,
 
 Status CompactionManager::Clean(const std::string& location, const Schema& schema,
                                 const ValidWriteIdList& snapshot) {
-  HIVE_RETURN_IF_ERROR(Compactor(catalog_->filesystem(), location, schema).Clean(snapshot));
-  if (clean_listener_) clean_listener_(location);
-  return Status::OK();
+  std::vector<std::string> deleted;
+  Status status =
+      Compactor(catalog_->filesystem(), location, schema).Clean(snapshot, &deleted);
+  // A partial clean still reports the directories it did delete.
+  if (clean_listener_ && !deleted.empty()) clean_listener_(deleted);
+  return status;
 }
 
 void CompactionManager::FlushPendingCleans() {

@@ -66,10 +66,10 @@ class CompactionManager {
   /// reader is active. Safe to call at any time.
   void FlushPendingCleans();
 
-  /// Called with a table or partition location after its superseded
-  /// directories were deleted (the server drops their cached chunks). Set
-  /// before the first write.
-  void set_clean_listener(std::function<void(const std::string& location)> listener) {
+  /// Called with the superseded directories a clean deleted (the server
+  /// drops their cached chunks). Set before the first write.
+  void set_clean_listener(
+      std::function<void(const std::vector<std::string>& dirs)> listener) {
     clean_listener_ = std::move(listener);
   }
 
@@ -92,7 +92,7 @@ class CompactionManager {
                          const ValidWriteIdList& snapshot,
                          CompactionDecision* decision);
   /// Deletes the directories `snapshot` makes obsolete under `location`,
-  /// then tells the clean listener.
+  /// then tells the clean listener which ones went.
   Status Clean(const std::string& location, const Schema& schema,
                const ValidWriteIdList& snapshot);
   void FlushPendingCleansLocked() HIVE_REQUIRES(compact_mu_);
@@ -107,7 +107,7 @@ class CompactionManager {
   std::vector<PendingClean> pending_cleans_ HIVE_GUARDED_BY(compact_mu_);
   std::atomic<int64_t> active_readers_{0};
   std::atomic<int64_t> compactions_run_{0};
-  std::function<void(const std::string& location)> clean_listener_;
+  std::function<void(const std::vector<std::string>& dirs)> clean_listener_;
 };
 
 }  // namespace hive

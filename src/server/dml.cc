@@ -179,10 +179,7 @@ TableStatistics DmlDriver::ComputeStats(const Schema& schema,
 }
 
 Result<QueryResult> DmlDriver::RunSelect(const SelectStmt& stmt) {
-  Config config = server_->EffectiveConfig(session_);
-  RuntimeStats stats;
-  return server_->TryExecuteSelect(session_, stmt, 0, &stats, &config,
-                                   /*use_plan_cache=*/false);
+  return server_->ExecuteSelect(session_, stmt, /*cache_key=*/"", /*bypass_cache=*/true);
 }
 
 std::pair<std::string, std::string> DmlDriver::ResolveTarget(

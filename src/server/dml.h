@@ -21,9 +21,9 @@ class TableWriter;
 ///    `source LEFT JOIN target ON ...`; its WHEN clauses come back as an
 ///    action column, so DmlDriver evaluates no expression. The reads get
 ///    everything a SELECT has: LLAP cache, row-group skipping, morsel
-///    parallelism, the memory governor, deadlines, cancellation and task
-///    retries. Write sets and shared locks are recorded per partition for
-///    first-commit-wins conflict resolution,
+///    parallelism, the memory governor, deadlines, cancellation, task
+///    retries and re-execution. Write sets and shared locks are recorded
+///    per partition for first-commit-wins conflict resolution,
 ///  * CREATE MATERIALIZED VIEW materializes its definition and records the
 ///    per-source write-id snapshot; REBUILD maintains it incrementally when
 ///    the sources only saw inserts, falling back to a full rebuild
@@ -45,7 +45,9 @@ class DmlDriver {
   Result<QueryResult> Analyze(const AnalyzeTableStatement& stmt);
 
  private:
-  /// Runs a SELECT without touching the result cache (DML sources).
+  /// Runs a SELECT the way a client's SELECT runs — re-execution on an
+  /// execution error included — without touching the result cache (DML
+  /// sources and reads).
   Result<QueryResult> RunSelect(const SelectStmt& stmt);
 
   /// Resolves a statement's (db, table): for unqualified names, session

@@ -21,7 +21,7 @@ HiveServer2::HiveServer2(FileSystem* fs, Config config)
   // Compaction cleanup deletes superseded files; their cached chunks go too.
   LlapCacheProvider* cache = llap_->cache();
   compaction_.set_clean_listener(
-      [cache](const std::string& location) { cache->InvalidateDeletedFiles(location); });
+      [cache](const std::vector<std::string>& dirs) { cache->InvalidateDirs(dirs); });
   handlers_.Register(std::make_unique<DroidStorageHandler>(&droid_));
   handlers_.Register(std::make_unique<CsvStorageHandler>(fs_));
   // Hidden home of session temp tables; created eagerly so the first

@@ -223,8 +223,10 @@ class Compactor {
   /// Rewrites base+deltas−deletes into base_{hwm}.
   Status RunMajor(const ValidWriteIdList& snapshot);
 
-  /// Deletes directories superseded by compaction output.
-  Status Clean(const ValidWriteIdList& snapshot);
+  /// Deletes directories superseded by compaction output, appending each
+  /// one it deleted to `deleted` when given.
+  Status Clean(const ValidWriteIdList& snapshot,
+               std::vector<std::string>* deleted = nullptr);
 
  private:
   FileSystem* fs_;

@@ -55,13 +55,15 @@ struct Cluster {
   }
 
   /// Loads `table` with (id, v, p) rows for ids [0, n), `per_insert` rows
-  /// per INSERT statement (one delta file, hence one row group, each).
-  void Load(const std::string& table, int n, int per_insert) {
+  /// per INSERT statement (one delta file, hence one row group, each). The
+  /// p literal is id % 4 followed by `p_suffix` (".5" for a DECIMAL p).
+  void Load(const std::string& table, int n, int per_insert,
+            const std::string& p_suffix = "") {
     for (int base = 0; base < n; base += per_insert) {
       std::string sql = "INSERT INTO " + table + " VALUES ";
       for (int id = base; id < base + per_insert && id < n; ++id)
         sql += (id > base ? ", (" : "(") + std::to_string(id) + ", " +
-               std::to_string(id * 10) + ", " + std::to_string(id % 4) + ")";
+               std::to_string(id * 10) + ", " + std::to_string(id % 4) + p_suffix + ")";
       Run(sql);
     }
   }
@@ -73,6 +75,18 @@ struct Cluster {
     if (server->llap()) server->llap()->cache()->Clear();
   }
 };
+
+/// id -> (v, p), the expected contents of a target loaded by Cluster::Load.
+using Model = std::map<int64_t, std::pair<int64_t, int64_t>>;
+
+/// The model as Cluster::Rows renders `SELECT id, v, p ... ORDER BY id`.
+std::vector<std::string> ModelRows(const Model& model, const std::string& p_suffix = "") {
+  std::vector<std::string> out;
+  for (const auto& [id, row] : model)
+    out.push_back(std::to_string(id) + "|" + std::to_string(row.first) + "|" +
+                  std::to_string(row.second) + p_suffix + "|");
+  return out;
+}
 
 TEST(DmlEngineTest, TransientReadFaultsOnTheTargetAreRetried) {
   Cluster c;
@@ -188,32 +202,51 @@ TEST(DmlEngineTest, MergeRejectsATargetRowMatchedTwice) {
             std::vector<std::string>{"1|10|"});
 }
 
+TEST(DmlEngineTest, MergeReexecutesPastTheJoinBuildRowLimit) {
+  Cluster c;
+  c.Run("CREATE TABLE t (id INT, v INT, p INT)");
+  c.Load("t", 2000, 500);
+  c.Run("CREATE TABLE src (id INT, v INT, p INT)");
+  c.Run("INSERT INTO src VALUES (5, 1, 0), (6, 2, 0), (5000, 3, 0)");
+  Model model;
+  for (int64_t id = 0; id < 2000; ++id) model[id] = {id * 10, id % 4};
+  model[5].first = 1;
+  model[6].first = 2;
+  model[5000] = {3, 0};
+  // The first attempt's hash join trips the build-side guard; the
+  // re-execution lifts it, as it does for a client's SELECT.
+  int64_t reexecutions = c.Metric(obs::qc::kReexecutions);
+  c.session.config().join_build_row_limit = 100;
+  QueryResult merge = c.Run(
+      "MERGE INTO t USING src s ON t.id = s.id WHEN MATCHED THEN UPDATE SET v = s.v "
+      "WHEN NOT MATCHED THEN INSERT VALUES (s.id, s.v, s.p)");
+  EXPECT_EQ(merge.rows_affected, 3);
+  EXPECT_GT(c.Metric(obs::qc::kReexecutions), reexecutions)
+      << "the MERGE's join never reached the build-row limit";
+  c.session.config().join_build_row_limit = INT64_MAX;
+  EXPECT_EQ(c.Rows("SELECT id, v, p FROM t ORDER BY id"), ModelRows(model));
+}
+
 // --- the same DML stream against an in-test model ---
 
-enum class TargetKind { kPartitioned, kTemporary, kViewCovered };
+enum class TargetKind { kPartitioned, kDecimalPartitioned, kTemporary, kViewCovered };
 /// The engine the statements run on: v3.1 at 1 or 4 executors, or the
 /// v1.2 baseline (MapReduce runtime, restricted SQL surface).
 enum class Engine { kOneExecutor, kFourExecutors, kLegacyV12 };
-
-/// id -> (v, p), the expected contents of the target.
-using Model = std::map<int64_t, std::pair<int64_t, int64_t>>;
-
-std::vector<std::string> ModelRows(const Model& model) {
-  std::vector<std::string> out;
-  for (const auto& [id, row] : model)
-    out.push_back(std::to_string(id) + "|" + std::to_string(row.first) + "|" +
-                  std::to_string(row.second) + "|");
-  return out;
-}
 
 class DmlModelTest : public ::testing::TestWithParam<std::tuple<TargetKind, Engine>> {};
 
 TEST_P(DmlModelTest, UpdateDeleteMergeMatchTheModel) {
   auto [kind, engine] = GetParam();
   Cluster c(engine == Engine::kOneExecutor ? 1 : 4, engine == Engine::kLegacyV12);
+  // A DECIMAL partition holds fractional values: p is id % 4 + 0.5.
+  const bool decimal_p = kind == TargetKind::kDecimalPartitioned;
+  const std::string p_type = decimal_p ? "DECIMAL(4,1)" : "INT";
+  const std::string p_suffix = decimal_p ? ".5" : "";
   switch (kind) {
     case TargetKind::kPartitioned:
-      c.Run("CREATE TABLE t (id INT, v INT) PARTITIONED BY (p INT)");
+    case TargetKind::kDecimalPartitioned:
+      c.Run("CREATE TABLE t (id INT, v INT) PARTITIONED BY (p " + p_type + ")");
       break;
     case TargetKind::kTemporary:
       c.Run("CREATE TEMPORARY TABLE t (id INT, v INT, p INT)");
@@ -223,7 +256,7 @@ TEST_P(DmlModelTest, UpdateDeleteMergeMatchTheModel) {
       break;
   }
   constexpr int kRows = 3000;
-  c.Load("t", kRows, 500);
+  c.Load("t", kRows, 500, p_suffix);
   if (kind == TargetKind::kViewCovered)
     c.Run("CREATE MATERIALIZED VIEW t_mv AS SELECT id, v, p FROM t");
   Model model;
@@ -231,18 +264,18 @@ TEST_P(DmlModelTest, UpdateDeleteMergeMatchTheModel) {
 
   // Source rows straddle the end of the table: half update or delete
   // existing ids, half insert new ones (into a new partition for p = 4).
-  c.Run("CREATE TABLE src (id INT, v INT, p INT, del INT)");
+  c.Run("CREATE TABLE src (id INT, v INT, p " + p_type + ", del INT)");
   std::string values;
   for (int64_t id = kRows - 20; id < kRows + 20; ++id)
     values += (values.empty() ? "(" : ", (") + std::to_string(id) + ", " +
-              std::to_string(id * 7) + ", " + std::to_string(id % 5) + ", " +
+              std::to_string(id * 7) + ", " + std::to_string(id % 5) + p_suffix + ", " +
               std::to_string(id % 5 == 0 ? 1 : 0) + ")";
   c.Run("INSERT INTO src VALUES " + values);
 
   auto check = [&](const std::string& sql, int64_t affected) {
     SCOPED_TRACE(sql);
     EXPECT_EQ(c.Run(sql).rows_affected, affected);
-    EXPECT_EQ(c.Rows("SELECT id, v, p FROM t ORDER BY id"), ModelRows(model));
+    EXPECT_EQ(c.Rows("SELECT id, v, p FROM t ORDER BY id"), ModelRows(model, p_suffix));
   };
 
   int64_t updated = 0;
@@ -275,7 +308,8 @@ TEST_P(DmlModelTest, UpdateDeleteMergeMatchTheModel) {
 }
 
 std::string ParamName(const ::testing::TestParamInfo<DmlModelTest::ParamType>& info) {
-  static const char* const kKinds[] = {"Partitioned", "Temporary", "ViewCovered"};
+  static const char* const kKinds[] = {"Partitioned", "DecimalPartitioned", "Temporary",
+                                       "ViewCovered"};
   static const char* const kEngines[] = {"1exec", "4exec", "v12"};
   return std::string(kKinds[static_cast<int>(std::get<0>(info.param))]) + "_" +
          kEngines[static_cast<int>(std::get<1>(info.param))];
@@ -283,8 +317,9 @@ std::string ParamName(const ::testing::TestParamInfo<DmlModelTest::ParamType>& i
 
 INSTANTIATE_TEST_SUITE_P(
     Targets, DmlModelTest,
-    ::testing::Combine(::testing::Values(TargetKind::kPartitioned, TargetKind::kTemporary,
-                                         TargetKind::kViewCovered),
+    ::testing::Combine(::testing::Values(TargetKind::kPartitioned,
+                                         TargetKind::kDecimalPartitioned,
+                                         TargetKind::kTemporary, TargetKind::kViewCovered),
                        ::testing::Values(Engine::kOneExecutor, Engine::kFourExecutors,
                                          Engine::kLegacyV12)),
     ParamName);
