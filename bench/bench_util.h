@@ -21,13 +21,16 @@ inline void Must(const Status& s) {
   }
 }
 
-/// Measured execution of one statement: wall-clock work plus the modeled
-/// cluster latency charged to the virtual clock (container start-up, MR
-/// shuffle materialization). Reported together, as a real deployment's user
-/// would perceive them.
+/// Measured execution of one statement: wall-clock work on this host
+/// (`wall_ms`) and the modeled cluster latency charged to the virtual clock
+/// (`modeled_ms`: container start-up, MR shuffle materialization, per-row
+/// CPU model). `millis` is their sum, as a real deployment's user would
+/// perceive them.
 struct Timing {
   bool ok = false;
   bool unsupported = false;
+  double wall_ms = 0;
+  double modeled_ms = 0;
   double millis = 0;
   QueryResult result;
 };
@@ -48,6 +51,8 @@ inline Timing RunTimed(Connection& conn, const std::string& sql) {
     return t;
   }
   t.ok = true;
+  t.wall_ms = static_cast<double>(wall) / 1000.0;
+  t.modeled_ms = static_cast<double>(virt) / 1000.0;
   t.millis = static_cast<double>(wall + virt) / 1000.0;
   t.result = std::move(*r);
   return t;

@@ -1,5 +1,7 @@
 #include "common/column_vector.h"
 
+#include <numeric>
+
 namespace hive {
 
 Value ColumnVector::GetValue(size_t i) const {
@@ -97,6 +99,31 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
   }
 }
 
+void ColumnVector::AppendGather(const ColumnVector& src, const int32_t* rows,
+                                size_t n) {
+  const size_t base = nulls_.size();
+  nulls_.resize(base + n);
+  uint8_t* valid = nulls_.data() + base;
+  const uint8_t* src_valid = src.nulls_.data();
+  // Validity and payload in one pass over the indexes; a NULL writes what
+  // AppendNull writes (validity 0, payload 0 or the empty string).
+  auto gather = [&](auto& out, const auto& in, const auto& null_payload) {
+    const size_t at = out.size();
+    out.resize(at + n);
+    for (size_t k = 0; k < n; ++k) {
+      const int32_t r = rows[k];
+      const bool v = r >= 0 && src_valid[r] != 0;
+      valid[k] = v;
+      out[at + k] = v ? in[static_cast<size_t>(r)] : null_payload;
+    }
+  };
+  switch (type_.kind) {
+    case TypeKind::kDouble: gather(f64_, src.f64_, 0.0); break;
+    case TypeKind::kString: gather(str_, src.str_, std::string()); break;
+    default: gather(i64_, src.i64_, int64_t{0}); break;
+  }
+}
+
 size_t ColumnVector::ByteSize() const {
   size_t n = nulls_.size() + i64_.size() * 8 + f64_.size() * 8;
   for (const auto& s : str_) n += s.size() + 16;
@@ -126,13 +153,29 @@ void RowBatch::ClearSelection() {
 
 void RowBatch::Flatten() {
   if (!has_selection_) return;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    auto dense = std::make_shared<ColumnVector>(columns_[c]->type());
-    for (int32_t row : selection_) dense->AppendFrom(*columns_[c], row);
-    columns_[c] = dense;
+  for (ColumnVectorPtr& col : columns_) {
+    auto dense = std::make_shared<ColumnVector>(col->type());
+    dense->AppendGather(*col, selection_.data(), selection_.size());
+    col = std::move(dense);
   }
   num_rows_ = selection_.size();
   ClearSelection();
+}
+
+void RowBatch::AppendRows(const RowBatch& src, const std::vector<int32_t>& rows) {
+  for (size_t c = 0; c < columns_.size() && c < src.columns_.size(); ++c)
+    columns_[c]->AppendGather(*src.columns_[c], rows.data(), rows.size());
+  num_rows_ += rows.size();
+}
+
+void RowBatch::AppendSelected(const RowBatch& src) {
+  if (src.has_selection_) {
+    AppendRows(src, src.selection_);
+    return;
+  }
+  std::vector<int32_t> all(src.num_rows_);
+  std::iota(all.begin(), all.end(), 0);
+  AppendRows(src, all);
 }
 
 std::vector<Value> RowBatch::GetRow(size_t i) const {

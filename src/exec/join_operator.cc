@@ -235,7 +235,6 @@ Status HashJoinCore::Build(Operator* build_child) {
   build_ = RowBatch(build_child->schema());
   reservation_.Attach(ctx_->query_memory);
   bool done = false;
-  size_t build_rows = 0;
   // Reservation grows by incoming batch bytes (an O(batch) approximation of
   // the dense footprint; rescanning build_ per batch would be quadratic).
   uint64_t accum_bytes = 0;
@@ -247,13 +246,7 @@ Status HashJoinCore::Build(Operator* build_child) {
       HIVE_RETURN_IF_ERROR(GraceRouteBuildBatch(batch));
       continue;
     }
-    build_rows += batch.SelectedSize();
-    for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-      int32_t row = batch.SelectedRow(i);
-      for (size_t c = 0; c < build_.num_columns(); ++c)
-        build_.column(c)->AppendFrom(*batch.column(c), row);
-    }
-    build_.set_num_rows(build_rows);
+    build_.AppendSelected(batch);
     accum_bytes += batch.ByteSize();
     if (!reservation_.GrowTo(static_cast<int64_t>(accum_bytes))) {
       CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
@@ -263,21 +256,19 @@ Status HashJoinCore::Build(Operator* build_child) {
         return BudgetExceededStatus("hash join build",
                                     static_cast<int64_t>(accum_bytes), ctx_);
       HIVE_RETURN_IF_ERROR(EnterGrace());
-      build_rows = 0;
       accum_bytes = 0;
     }
   }
 
   // The hash table rides on top of the dense rows (~24 bytes/row of slots
   // and chain entries); reserve it before finalizing.
-  if (!grace_ && build_rows > 0 && !right_keys_.empty() &&
+  if (!grace_ && build_.num_rows() > 0 && !right_keys_.empty() &&
       !reservation_.GrowTo(static_cast<int64_t>(accum_bytes) +
-                           static_cast<int64_t>(build_rows) * 24)) {
+                           static_cast<int64_t>(build_.num_rows()) * 24)) {
     CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
     if (!ctx_->CanSpill())
       return BudgetExceededStatus("hash join build",
                                   static_cast<int64_t>(accum_bytes), ctx_);
-    build_.set_num_rows(build_rows);
     HIVE_RETURN_IF_ERROR(EnterGrace());
   }
 
@@ -305,7 +296,6 @@ Status HashJoinCore::Build(Operator* build_child) {
     return ctx_->OnStageBoundary(g.bytes);
   }
 
-  build_.set_num_rows(build_rows);
   if (static_cast<int64_t>(build_.num_rows()) > ctx_->join_build_row_limit)
     return Status::ExecError("hash join build side exceeded memory limit (" +
                              std::to_string(build_.num_rows()) + " rows)");
@@ -534,11 +524,8 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
       HIVE_RETURN_IF_ERROR(ctx_->CheckInterrupted());
       HIVE_ASSIGN_OR_RETURN(bool more, reader.NextBatch(&chunk, &seqs));
       if (!more) break;
-      for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        for (size_t c = 0; c < build_.num_columns(); ++c)
-          build_.column(c)->AppendFrom(*chunk.column(c), r);
-        grace_build_seqs_.push_back(seqs[r]);
-      }
+      build_.AppendSelected(chunk);
+      grace_build_seqs_.insert(grace_build_seqs_.end(), seqs.begin(), seqs.end());
       loaded_bytes += chunk.ByteSize();
       if (!reservation_.GrowTo(
               static_cast<int64_t>(loaded_bytes) +
@@ -552,7 +539,6 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
         }
       }
     }
-    build_.set_num_rows(grace_build_seqs_.size());
   }
 
   if (over_budget) {
@@ -648,24 +634,15 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
   if (full && build_.num_rows() > 0) {
     // Unmatched build rows, tagged with their *global* build sequence so
     // the tail phase merges into one build-order stream across partitions.
-    RowBatch tail(*out_schema_);
-    std::vector<uint64_t> tail_seqs;
-    size_t tail_rows = 0;
-    for (size_t r = 0; r < build_.num_rows(); ++r) {
-      if (matched_[r].load(std::memory_order_relaxed)) continue;
-      for (size_t c = 0; c < left_width_; ++c) tail.column(c)->AppendNull();
-      for (size_t c = 0; c < build_.num_columns(); ++c)
-        tail.column(left_width_ + c)->AppendFrom(*build_.column(c), r);
-      tail_seqs.push_back(grace_build_seqs_[r]);
-      ++tail_rows;
-    }
-    tail.set_num_rows(tail_rows);
-    if (tail_rows > 0) {
+    std::vector<int32_t> unmatched;
+    HIVE_ASSIGN_OR_RETURN(RowBatch tail, EmitUnmatchedRight(&unmatched));
+    if (tail.num_rows() > 0) {
       auto tail_run = std::make_unique<SpillBatchWriter>(
           ctx_, g.prefix + ".tail" + std::to_string(g.stream_counter++),
           *out_schema_, true);
-      for (size_t r = 0; r < tail_rows; ++r)
-        HIVE_RETURN_IF_ERROR(tail_run->AppendBatchRow(tail, r, tail_seqs[r]));
+      for (size_t r = 0; r < unmatched.size(); ++r)
+        HIVE_RETURN_IF_ERROR(tail_run->AppendBatchRow(
+            tail, r, grace_build_seqs_[static_cast<size_t>(unmatched[r])]));
       HIVE_RETURN_IF_ERROR(tail_run->Finish());
       g.bytes += tail_run->bytes_written();
       g.tail_runs.push_back(std::move(tail_run));
@@ -754,23 +731,17 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
     HashKeyColumns(probe_cols, batch.num_rows(), &hashes, &valid);
   }
 
-  RowBatch out(*out_schema_);
-  size_t out_rows = 0;
+  // Phase 1 matches rows and records each output row as a (probe row, build
+  // row) pair, build row -1 meaning null extension; phase 2 fills every
+  // output column with one gather. Semi and anti joins output probe columns
+  // only.
+  std::vector<int32_t> left_rows, right_rows;
+  left_rows.reserve(batch.SelectedSize());
   uint64_t cur_seq = 0;
   auto emit = [&](int32_t left_row, int32_t right_row) {
-    ++out_rows;
     if (out_seqs) out_seqs->push_back(cur_seq);
-    for (size_t c = 0; c < left_width_; ++c)
-      out.column(c)->AppendFrom(*batch.column(c), static_cast<size_t>(left_row));
-    if (semi || anti) return;
-    for (size_t c = 0; c < build_.num_columns(); ++c) {
-      if (right_row < 0) {
-        out.column(left_width_ + c)->AppendNull();
-      } else {
-        out.column(left_width_ + c)
-            ->AppendFrom(*build_.column(c), static_cast<size_t>(right_row));
-      }
-    }
+    left_rows.push_back(left_row);
+    if (!semi && !anti) right_rows.push_back(right_row);
   };
 
   int64_t hits = 0, misses = 0;
@@ -828,22 +799,34 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   probe_misses_.fetch_add(misses, std::memory_order_relaxed);
   if (metric_probe_hits_) metric_probe_hits_->Add(hits);
   if (metric_probe_misses_) metric_probe_misses_->Add(misses);
+
+  RowBatch out(*out_schema_);
+  const size_t out_rows = left_rows.size();
+  for (size_t c = 0; c < left_width_; ++c)
+    out.column(c)->AppendGather(*batch.column(c), left_rows.data(), out_rows);
+  if (!semi && !anti) {
+    for (size_t c = 0; c < build_.num_columns(); ++c)
+      out.column(left_width_ + c)
+          ->AppendGather(*build_.column(c), right_rows.data(), out_rows);
+  }
   out.set_num_rows(out_rows);
-  if (out.num_rows() > 0) *emitted = true;
+  *emitted = out_rows > 0;
   return out;
 }
 
-Result<RowBatch> HashJoinCore::EmitUnmatchedRight() {
+Result<RowBatch> HashJoinCore::EmitUnmatchedRight(std::vector<int32_t>* build_rows) {
+  std::vector<int32_t> unmatched;
+  for (size_t r = 0; r < build_.num_rows(); ++r)
+    if (!matched_[r].load(std::memory_order_relaxed))
+      unmatched.push_back(static_cast<int32_t>(r));
   RowBatch out(*out_schema_);
-  size_t out_rows = 0;
-  for (size_t r = 0; r < build_.num_rows(); ++r) {
-    if (matched_[r].load(std::memory_order_relaxed)) continue;
-    ++out_rows;
-    for (size_t c = 0; c < left_width_; ++c) out.column(c)->AppendNull();
-    for (size_t c = 0; c < build_.num_columns(); ++c)
-      out.column(left_width_ + c)->AppendFrom(*build_.column(c), r);
-  }
-  out.set_num_rows(out_rows);
+  // A fresh column resized to n holds n NULLs, exactly as n AppendNull calls.
+  for (size_t c = 0; c < left_width_; ++c) out.column(c)->Resize(unmatched.size());
+  for (size_t c = 0; c < build_.num_columns(); ++c)
+    out.column(left_width_ + c)
+        ->AppendGather(*build_.column(c), unmatched.data(), unmatched.size());
+  out.set_num_rows(unmatched.size());
+  if (build_rows) *build_rows = std::move(unmatched);
   return out;
 }
 

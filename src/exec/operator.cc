@@ -9,13 +9,7 @@ Result<RowBatch> CollectAll(Operator* op) {
   for (;;) {
     HIVE_ASSIGN_OR_RETURN(RowBatch batch, op->Next(&done));
     if (done) break;
-    for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-      int32_t row = batch.SelectedRow(i);
-      for (size_t c = 0; c < out.num_columns() && c < batch.num_columns(); ++c)
-        out.column(c)->AppendFrom(*batch.column(c), row);
-    }
-    out.set_num_rows(out.num_columns() > 0 ? out.column(0)->size()
-                                           : out.num_rows() + batch.SelectedSize());
+    out.AppendSelected(batch);
   }
   HIVE_RETURN_IF_ERROR(op->Close());
   return out;

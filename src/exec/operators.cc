@@ -187,9 +187,11 @@ Result<RowBatch> SetOpOperator::Next(bool* done) {
     result_ = RowBatch(left_->schema());
     std::set<std::string> emitted;
     child_done = false;
+    std::vector<int32_t> kept;
     for (;;) {
       HIVE_ASSIGN_OR_RETURN(RowBatch batch, left_->Next(&child_done));
       if (child_done) break;
+      kept.clear();
       for (size_t i = 0; i < batch.SelectedSize(); ++i) {
         std::string digest;
         std::vector<Value> row = batch.GetRow(i);
@@ -199,10 +201,9 @@ Result<RowBatch> SetOpOperator::Next(bool* done) {
         auto [it, inserted] = emitted.insert(std::move(digest));
         if (!inserted) continue;
         digest_footprint += digest_bytes(*it);
-        int32_t src = batch.SelectedRow(i);
-        for (size_t c = 0; c < result_.num_columns(); ++c)
-          result_.column(c)->AppendFrom(*batch.column(c), src);
+        kept.push_back(batch.SelectedRow(i));
       }
+      result_.AppendRows(batch, kept);
       if (!reservation_.GrowTo(static_cast<int64_t>(digest_footprint))) {
         CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
         return BudgetExceededStatus("set operation",
@@ -210,7 +211,6 @@ Result<RowBatch> SetOpOperator::Next(bool* done) {
       }
     }
     HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(digest_footprint));
-    result_.set_num_rows(result_.num_columns() ? result_.column(0)->size() : 0);
     rows_produced_ += static_cast<int64_t>(result_.num_rows());
   }
   if (emitted_ || result_.num_rows() == 0) {

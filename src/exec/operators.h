@@ -188,9 +188,10 @@ class HashJoinCore {
                               const std::vector<uint64_t>* in_seqs = nullptr,
                               std::vector<uint64_t>* out_seqs = nullptr);
 
-  /// FULL OUTER tail: null-extended build rows no probe row matched. Call
-  /// after all ProbeBatch calls have completed.
-  Result<RowBatch> EmitUnmatchedRight();
+  /// FULL OUTER tail: null-extended build rows no probe row matched, in
+  /// build order; `build_rows` (optional) receives their build-side indexes.
+  /// Call after all ProbeBatch calls have completed.
+  Result<RowBatch> EmitUnmatchedRight(std::vector<int32_t>* build_rows = nullptr);
 
   /// True once Build's memory reservation was denied and the join switched
   /// to grace mode: build rows live in hash-partitioned spill files instead

@@ -293,14 +293,18 @@ Result<RowBatch> ScanOperator::PostProcess(RowBatch raw, const Location& loc) co
     HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection, FilterSelection(*f, out));
     out.SetSelection(std::move(selection));
   }
-  // Row-level semijoin-reducer Bloom filtering.
+  // Row-level semijoin-reducer Bloom filtering, on per-row hashes of the
+  // selected rows (equal to the Value::Hash() the filter was built from).
+  std::vector<uint64_t> hashes;
   for (const auto& [column, bloom] : runtime_blooms_) {
+    const ColumnVector& col = *out.column(column);
+    HashColumn(col, out.has_selection() ? out.selection().data() : nullptr,
+               out.SelectedSize(), &hashes);
     std::vector<int32_t> selection;
     selection.reserve(out.SelectedSize());
-    const ColumnVector& col = *out.column(column);
     for (size_t i = 0; i < out.SelectedSize(); ++i) {
       int32_t row = out.SelectedRow(i);
-      if (!col.IsNull(row) && bloom->MightContain(col.GetValue(row)))
+      if (!col.IsNull(row) && bloom->MightContainHash(hashes[i]))
         selection.push_back(row);
     }
     out.SetSelection(std::move(selection));

@@ -50,20 +50,13 @@ Status SortOperator::ConsumeInput() {
   }
 
   RowBatch pending(child_->schema());
-  size_t rows = 0;
   uint64_t pending_bytes = 0;
   bool done = false;
   for (;;) {
     HIVE_RETURN_IF_ERROR(CheckCancelled());
     HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(&done));
     if (done) break;
-    rows += batch.SelectedSize();
-    for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-      int32_t row = batch.SelectedRow(i);
-      for (size_t c = 0; c < pending.num_columns(); ++c)
-        pending.column(c)->AppendFrom(*batch.column(c), row);
-    }
-    pending.set_num_rows(rows);
+    pending.AppendSelected(batch);
     pending_bytes += batch.ByteSize();
     input_bytes_ += batch.ByteSize();
     if (!reservation_.GrowTo(static_cast<int64_t>(pending_bytes))) {
@@ -73,7 +66,6 @@ Status SortOperator::ConsumeInput() {
                                     static_cast<int64_t>(pending_bytes), ctx_);
       HIVE_RETURN_IF_ERROR(SpillRun(&pending));
       reservation_.Release();
-      rows = 0;
       pending_bytes = 0;
     }
   }
@@ -99,10 +91,7 @@ Status SortOperator::ConsumeInput() {
     if (fetch_ >= 0 && static_cast<int64_t>(order.size()) > fetch_)
       order.resize(static_cast<size_t>(fetch_));
     materialized_ = RowBatch(child_->schema());
-    for (int32_t row : order)
-      for (size_t c = 0; c < materialized_.num_columns(); ++c)
-        materialized_.column(c)->AppendFrom(*pending.column(c), row);
-    materialized_.set_num_rows(order.size());
+    materialized_.AppendRows(pending, order);
     return ctx_->OnStageBoundary(pending.ByteSize());
   }
 
@@ -330,13 +319,8 @@ Result<RowBatch> WindowOperator::Next(bool* done) {
       HIVE_RETURN_IF_ERROR(CheckCancelled());
       HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(&child_done));
       if (child_done) break;
-      for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-        int32_t row = batch.SelectedRow(i);
-        for (size_t c = 0; c < all.num_columns(); ++c)
-          all.column(c)->AppendFrom(*batch.column(c), row);
-      }
+      all.AppendSelected(batch);
     }
-    all.set_num_rows(all.num_columns() ? all.column(0)->size() : 0);
     HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(all.ByteSize()));
 
     result_ = RowBatch(schema_);
