@@ -2,10 +2,34 @@
 // subexpressions) runs 2.7x faster with the shared work optimizer enabled.
 // This harness runs the q88-style query with the optimizer on/off.
 
+#include <tuple>
+#include <utility>
+
 #include "bench_util.h"
 
 using namespace hive;
 using namespace hive::bench;
+
+namespace {
+
+/// Rows equal cell for cell: same NULLs, kinds, values and rendering.
+bool SameRows(const std::vector<std::vector<Value>>& a,
+              const std::vector<std::vector<Value>>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      const Value& x = a[r][c];
+      const Value& y = b[r][c];
+      if (x.is_null() != y.is_null() || x.kind() != y.kind() ||
+          Value::Compare(x, y) != 0 || x.ToString() != y.ToString())
+        return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   MemFileSystem fs;
@@ -34,7 +58,7 @@ int main() {
   RunTimed(without, sql);
 
   const int kRuns = 5;
-  double on_ms = 0, off_ms = 0;
+  Timing on, off;  // summed over the runs
   for (int r = 0; r < kRuns; ++r) {
     Timing t_on = RunTimed(with, sql);
     Timing t_off = RunTimed(without, sql);
@@ -42,11 +66,13 @@ int main() {
       std::fprintf(stderr, "q88 failed\n");
       return 1;
     }
-    on_ms += t_on.millis;
-    off_ms += t_off.millis;
-    // Results must agree.
-    if (t_on.result.rows != t_off.result.rows &&
-        t_on.result.rows.size() != t_off.result.rows.size()) {
+    for (auto [sum, t] : {std::pair{&on, &t_on}, std::pair{&off, &t_off}}) {
+      sum->wall_ms += t->wall_ms;
+      sum->modeled_ms += t->modeled_ms;
+      sum->millis += t->millis;
+    }
+    // Results must agree cell for cell.
+    if (!SameRows(t_on.result.rows, t_off.result.rows)) {
       std::fprintf(stderr, "shared-work results diverge!\n");
       return 1;
     }
@@ -67,16 +93,20 @@ int main() {
   auto with_io = [&](double ms, uint64_t bytes) {
     return ms + static_cast<double>(bytes) / (kModeledMBps * 1048.576);
   };
-  double off_total = with_io(off_ms / kRuns, bytes_off);
-  double on_total = with_io(on_ms / kRuns, bytes_on);
+  double off_total = with_io(off.millis / kRuns, bytes_off);
+  double on_total = with_io(on.millis / kRuns, bytes_on);
 
+  // Per-run means; the total adds modeled I/O time to wall + modeled.
   PrintHeader("q88-style query: shared work optimizer (Section 4.5)");
-  std::printf("%-18s %12s %14s %18s\n", "configuration", "cpu (ms)",
-              "bytes scanned", "total @200MB/s (ms)");
-  std::printf("%-18s %12.2f %14llu %18.2f\n", "shared work OFF", off_ms / kRuns,
-              static_cast<unsigned long long>(bytes_off), off_total);
-  std::printf("%-18s %12.2f %14llu %18.2f\n", "shared work ON", on_ms / kRuns,
-              static_cast<unsigned long long>(bytes_on), on_total);
+  std::printf("%-18s %10s %12s %12s %14s %18s\n", "configuration", "wall_ms",
+              "modeled_ms", "wall+modeled", "bytes scanned", "total @200MB/s (ms)");
+  for (auto [name, t, bytes, total] :
+       {std::tuple{"shared work OFF", &off, bytes_off, off_total},
+        std::tuple{"shared work ON", &on, bytes_on, on_total}}) {
+    std::printf("%-18s %10.2f %12.2f %12.2f %14llu %18.2f\n", name, t->wall_ms / kRuns,
+                t->modeled_ms / kRuns, t->millis / kRuns,
+                static_cast<unsigned long long>(bytes), total);
+  }
   std::printf("\nSpeedup: %.1fx, scan reduction %.1fx (paper: 2.7x on q88)\n",
               off_total / std::max(on_total, 0.01),
               static_cast<double>(bytes_off) / std::max<double>(bytes_on, 1));

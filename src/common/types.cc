@@ -61,7 +61,6 @@ namespace {
 bool IsNumericKind(TypeKind k) {
   return k == TypeKind::kBigint || k == TypeKind::kDouble || k == TypeKind::kDecimal;
 }
-int Sign(int64_t v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
 }  // namespace
 
 int Value::Compare(const Value& a, const Value& b) {
@@ -77,17 +76,15 @@ int Value::Compare(const Value& a, const Value& b) {
         if (a.f64_ > b.f64_) return 1;
         return 0;
       }
-      case TypeKind::kDecimal: {
-        if (a.scale_ == b.scale_) return Sign(a.i64_ - b.i64_);
-        // Rescale through long double to avoid overflow on rescale.
-        long double x = static_cast<long double>(a.i64_) / Pow10(a.scale_);
-        long double y = static_cast<long double>(b.i64_) / Pow10(b.scale_);
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      default: return Sign(a.i64_ - b.i64_);
+      case TypeKind::kDecimal: return CompareScaled(a.i64_, a.scale_, b.i64_, b.scale_);
+      default: return ThreeWay(a.i64_, b.i64_);
     }
   }
   if (IsNumericKind(a.kind_) && IsNumericKind(b.kind_)) {
+    // BIGINT and DECIMAL compare exactly; a DOUBLE side goes through long double.
+    if (a.kind_ != TypeKind::kDouble && b.kind_ != TypeKind::kDouble)
+      return CompareScaled(a.i64_, a.kind_ == TypeKind::kDecimal ? a.scale_ : 0, b.i64_,
+                           b.kind_ == TypeKind::kDecimal ? b.scale_ : 0);
     long double x = a.kind_ == TypeKind::kDouble ? a.f64_
                   : a.kind_ == TypeKind::kDecimal
                         ? static_cast<long double>(a.i64_) / Pow10(a.scale_)
@@ -224,21 +221,22 @@ Result<Value> Value::CastTo(const DataType& type) const {
     case TypeKind::kDecimal: {
       if (kind_ == TypeKind::kDecimal) {
         if (scale_ == type.scale) return *this;
-        if (scale_ < type.scale) return Value::Decimal(i64_ * Pow10(type.scale - scale_), type.scale);
+        if (scale_ < type.scale)
+          return Value::Decimal(WrapMul(i64_, Pow10(type.scale - scale_)), type.scale);
         return Value::Decimal(i64_ / Pow10(scale_ - type.scale), type.scale);
       }
       if (kind_ == TypeKind::kDouble)
         return Value::Decimal(static_cast<int64_t>(std::llround(f64_ * Pow10(type.scale))), type.scale);
-      return Value::Decimal(AsInt64() * Pow10(type.scale), type.scale);
+      return Value::Decimal(WrapMul(AsInt64(), Pow10(type.scale)), type.scale);
     }
     case TypeKind::kString: return Value::String(ToString());
     case TypeKind::kDate:
       if (kind_ == TypeKind::kString) return Parse(str_, type);
-      if (kind_ == TypeKind::kTimestamp) return Value::Date(i64_ / (86400LL * 1000000LL));
+      if (kind_ == TypeKind::kTimestamp) return Value::Date(i64_ / kMicrosPerDay);
       return Value::Date(AsInt64());
     case TypeKind::kTimestamp:
       if (kind_ == TypeKind::kString) return Parse(str_, type);
-      if (kind_ == TypeKind::kDate) return Value::Timestamp(i64_ * 86400LL * 1000000LL);
+      if (kind_ == TypeKind::kDate) return Value::Timestamp(WrapMul(i64_, kMicrosPerDay));
       return Value::Timestamp(AsInt64());
     case TypeKind::kNull: return Value::Null();
   }

@@ -153,6 +153,38 @@ int64_t ExtractDateField(DateField f, const Value& v);
 /// Power-of-ten table for decimal rescaling (10^0 .. 10^18).
 int64_t Pow10(int n);
 
+/// Sign of a - b (-1, 0 or 1) without subtracting, so operands more than
+/// INT64_MAX apart still order correctly.
+template <typename T>
+int ThreeWay(T a, T b) {
+  return (a > b) - (a < b);
+}
+
+/// Value::Compare of two non-NULL DECIMAL/BIGINT payloads at the given scales
+/// (0 for BIGINT): exact, both sides at the larger scale in 128 bits
+/// (10^18 * 2^63 fits).
+inline int CompareScaled(int64_t a, int a_scale, int64_t b, int b_scale) {
+  if (a_scale == b_scale) return ThreeWay(a, b);
+  const int scale = a_scale > b_scale ? a_scale : b_scale;
+  return ThreeWay(static_cast<__int128>(a) * Pow10(scale - a_scale),
+                  static_cast<__int128>(b) * Pow10(scale - b_scale));
+}
+
+/// Two's-complement int64 arithmetic: SQL BIGINT overflow wraps instead of
+/// being undefined behaviour.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+
+/// A TIMESTAMP counts microseconds; DATE arithmetic and casts convert days.
+constexpr int64_t kMicrosPerDay = 86400LL * 1000000LL;
+
 }  // namespace hive
 
 #endif  // HIVE_COMMON_TYPES_H_

@@ -502,9 +502,11 @@ Status Binder::DeriveType(Expr* e) {
       e->type = e->un_op == UnaryOp::kNot ? DataType::Boolean() : e->children[0]->type;
       return Status::OK();
     case ExprKind::kCase: {
+      // The first branch (THENs, then ELSE) that is not a bare NULL.
       size_t pair_count = (e->children.size() - (e->has_else ? 1 : 0)) / 2;
-      e->type = pair_count > 0 ? e->children[1]->type
-                               : (e->has_else ? e->children.back()->type : DataType::Null());
+      e->type = DataType::Null();
+      for (size_t p = 0; p < pair_count && e->type.kind == TypeKind::kNull; ++p)
+        e->type = e->children[2 * p + 1]->type;
       if (e->type.kind == TypeKind::kNull && e->has_else)
         e->type = e->children.back()->type;
       return Status::OK();
@@ -549,8 +551,9 @@ Result<DataType> Binder::DeriveFunctionType(Expr* e) {
                                                                   : DataType::Double();
   if (f == "FLOOR" || f == "CEIL" || f == "CEILING") return DataType::Bigint();
   if (f == "COALESCE" || f == "NVL" || f == "IF" || f == "GREATEST" || f == "LEAST") {
-    for (const ExprPtr& c : e->children)
-      if (c->type.kind != TypeKind::kNull) return c->type;
+    // IF's first argument is its condition, not a result.
+    for (size_t i = f == "IF" ? 1 : 0; i < e->children.size(); ++i)
+      if (e->children[i]->type.kind != TypeKind::kNull) return e->children[i]->type;
     return DataType::Null();
   }
   if (f == "RAND") {

@@ -1,7 +1,9 @@
 #include "optimizer/expr_eval.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <map>
 
 namespace hive {
 
@@ -29,6 +31,12 @@ bool SqlLike(const std::string& text, const std::string& pattern) {
 
 namespace {
 
+/// The text string operators see for a non-NULL value: a STRING's bytes,
+/// anything else rendered as SQL.
+std::string TextOf(const Value& v) {
+  return v.kind() == TypeKind::kString ? v.str() : v.ToString();
+}
+
 Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
   // AND/OR use three-valued logic with short-circuiting.
   if (e.bin_op == BinaryOp::kAnd || e.bin_op == BinaryOp::kOr) {
@@ -49,6 +57,7 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
 
   HIVE_ASSIGN_OR_RETURN(Value l, EvalExpr(*e.children[0], row));
   HIVE_ASSIGN_OR_RETURN(Value r, EvalExpr(*e.children[1], row));
+  if (l.is_null() || r.is_null()) return Value::Null();
   switch (e.bin_op) {
     case BinaryOp::kEq:
     case BinaryOp::kNe:
@@ -56,7 +65,6 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
-      if (l.is_null() || r.is_null()) return Value::Null();
       int cmp = Value::Compare(l, r);
       switch (e.bin_op) {
         case BinaryOp::kEq: return Value::Boolean(cmp == 0);
@@ -69,14 +77,12 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
     }
     case BinaryOp::kAdd:
     case BinaryOp::kSub: {
-      if (l.is_null() || r.is_null()) return Value::Null();
       bool minus = e.bin_op == BinaryOp::kSub;
+      auto add = [minus](int64_t a, int64_t b) { return minus ? WrapSub(a, b) : WrapAdd(a, b); };
       // DATE/TIMESTAMP +/- interval (bigint days from INTERVAL_DAY).
-      if (l.kind() == TypeKind::kDate)
-        return Value::Date(l.i64() + (minus ? -r.AsInt64() : r.AsInt64()));
+      if (l.kind() == TypeKind::kDate) return Value::Date(add(l.i64(), r.AsInt64()));
       if (l.kind() == TypeKind::kTimestamp)
-        return Value::Timestamp(l.i64() +
-                                (minus ? -r.AsInt64() : r.AsInt64()) * 86400000000LL);
+        return Value::Timestamp(add(l.i64(), WrapMul(r.AsInt64(), kMicrosPerDay)));
       if (e.type.kind == TypeKind::kDouble)
         return Value::Double(minus ? l.AsDouble() - r.AsDouble()
                                    : l.AsDouble() + r.AsDouble());
@@ -84,14 +90,11 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
         auto lc = l.CastTo(e.type);
         auto rc = r.CastTo(e.type);
         if (!lc.ok() || !rc.ok()) return Value::Null();
-        return Value::Decimal(minus ? lc->i64() - rc->i64() : lc->i64() + rc->i64(),
-                              e.type.scale);
+        return Value::Decimal(add(lc->i64(), rc->i64()), e.type.scale);
       }
-      return Value::Bigint(minus ? l.AsInt64() - r.AsInt64()
-                                 : l.AsInt64() + r.AsInt64());
+      return Value::Bigint(add(l.AsInt64(), r.AsInt64()));
     }
     case BinaryOp::kMul: {
-      if (l.is_null() || r.is_null()) return Value::Null();
       if (e.type.kind == TypeKind::kDouble)
         return Value::Double(l.AsDouble() * r.AsDouble());
       if (e.type.kind == TypeKind::kDecimal) {
@@ -99,46 +102,99 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
         return Value::Decimal(static_cast<int64_t>(std::llround(v * Pow10(e.type.scale))),
                               e.type.scale);
       }
-      return Value::Bigint(l.AsInt64() * r.AsInt64());
+      return Value::Bigint(WrapMul(l.AsInt64(), r.AsInt64()));
     }
     case BinaryOp::kDiv: {
-      if (l.is_null() || r.is_null()) return Value::Null();
       double d = r.AsDouble();
       if (d == 0) return Value::Null();
       return Value::Double(l.AsDouble() / d);
     }
     case BinaryOp::kMod: {
-      if (l.is_null() || r.is_null()) return Value::Null();
       int64_t d = r.AsInt64();
       if (d == 0) return Value::Null();
-      return Value::Bigint(l.AsInt64() % d);
+      return Value::Bigint(SqlMod(l.AsInt64(), d));
     }
-    case BinaryOp::kLike: {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::Boolean(SqlLike(l.kind() == TypeKind::kString ? l.str() : l.ToString(),
-                                    r.str()));
-    }
-    case BinaryOp::kConcat: {
-      if (l.is_null() || r.is_null()) return Value::Null();
-      return Value::String(l.ToString() + r.ToString());
-    }
+    case BinaryOp::kLike:
+      return Value::Boolean(SqlLike(TextOf(l), TextOf(r)));
+    case BinaryOp::kConcat:
+      return Value::String(TextOf(l) + TextOf(r));
     default:
       return Status::ExecError("unhandled binary op");
   }
 }
 
-Result<Value> EvalFunction(const Expr& e, const std::vector<Value>* row) {
-  const std::string& f = e.func_name;
-  std::vector<Value> args;
-  args.reserve(e.children.size());
-  for (const ExprPtr& c : e.children) {
-    HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, row));
-    args.push_back(std::move(v));
+}  // namespace
+
+std::string SqlSubstr(const std::string& s, int64_t start, int64_t len) {
+  if (start < 1) start = 1;
+  if (static_cast<size_t>(start) > s.size()) return "";
+  return s.substr(static_cast<size_t>(start - 1),
+                  static_cast<size_t>(std::max<int64_t>(0, len)));
+}
+
+std::string SqlTrim(const std::string& s) {
+  size_t b = s.find_first_not_of(' ');
+  if (b == std::string::npos) return "";
+  return s.substr(b, s.find_last_not_of(' ') - b + 1);
+}
+
+void SqlCaseMap(std::string* s, bool upper) {
+  for (char& c : *s)
+    c = upper ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+              : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+}
+
+Value ConformToType(Value v, const DataType& t) {
+  if (v.is_null() || t.kind == TypeKind::kNull) return v;
+  if (v.kind() == t.kind && (t.kind != TypeKind::kDecimal || v.scale() == t.scale))
+    return v;
+  switch (t.kind) {
+    case TypeKind::kDouble: return Value::Double(v.AsDouble());
+    case TypeKind::kString: return Value::String(v.ToString());
+    case TypeKind::kDecimal: {
+      auto cast = v.CastTo(t);  // cannot fail for a DECIMAL target
+      return cast.ok() ? *cast : Value::Null();
+    }
+    case TypeKind::kBoolean: return Value::Boolean(v.AsInt64() != 0);
+    case TypeKind::kDate: return Value::Date(v.AsInt64());
+    case TypeKind::kTimestamp: return Value::Timestamp(v.AsInt64());
+    default: return Value::Bigint(v.AsInt64());
   }
-  auto null_if_arg_null = [&](size_t i) { return i < args.size() && args[i].is_null(); };
+}
+
+namespace {
+
+/// Fewest arguments the built-in `f` reads, or -1 when `f` is not one.
+int MinArity(const std::string& f) {
+  if (f.rfind("EXTRACT_", 0) == 0 || f.rfind("INTERVAL_", 0) == 0) return 1;
+  static const std::map<std::string, int> kMinArity = {
+      {"YEAR", 1},    {"MONTH", 1},         {"DAY", 1},          {"UPPER", 1},
+      {"LOWER", 1},   {"LENGTH", 1},        {"TRIM", 1},         {"ABS", 1},
+      {"ROUND", 1},   {"FLOOR", 1},         {"CEIL", 1},         {"CEILING", 1},
+      {"SUBSTR", 2},  {"SUBSTRING", 2},     {"IF", 2},           {"CONCAT", 0},
+      {"COALESCE", 0}, {"NVL", 0},          {"GREATEST", 0},     {"LEAST", 0},
+      {"RAND", 0},    {"CURRENT_DATE", 0},  {"CURRENT_TIMESTAMP", 0}};
+  auto it = kMinArity.find(f);
+  return it == kMinArity.end() ? -1 : it->second;
+}
+
+}  // namespace
+
+Status CheckFunctionCall(const std::string& f, size_t nargs) {
+  const int min_arity = MinArity(f);
+  if (min_arity < 0) return Status::ExecError("unknown function in evaluator: " + f);
+  if (nargs < static_cast<size_t>(min_arity))
+    return Status::ExecError(f + " needs at least " + std::to_string(min_arity) +
+                             " argument(s)");
+  return Status::OK();
+}
+
+Result<Value> ApplyFunction(const std::string& f, const std::vector<Value>& args) {
+  HIVE_RETURN_IF_ERROR(CheckFunctionCall(f, args.size()));
+  auto arg_null = [&](size_t i) { return i < args.size() && args[i].is_null(); };
 
   if (f.rfind("EXTRACT_", 0) == 0 || f == "YEAR" || f == "MONTH" || f == "DAY") {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     DateField field = DateField::kYear;
     std::string name = f.rfind("EXTRACT_", 0) == 0 ? f.substr(8) : f;
     if (name == "YEAR") field = DateField::kYear;
@@ -151,71 +207,61 @@ Result<Value> EvalFunction(const Expr& e, const std::vector<Value>* row) {
     return Value::Bigint(ExtractDateField(field, args[0]));
   }
   if (f.rfind("INTERVAL_", 0) == 0) {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     std::string unit = f.substr(9);
     int64_t n = args[0].AsInt64();
-    if (unit == "DAY") return Value::Bigint(n);
-    if (unit == "MONTH") return Value::Bigint(n * 30);
-    if (unit == "YEAR") return Value::Bigint(n * 365);
-    return Value::Bigint(n);
+    if (unit == "MONTH") return Value::Bigint(WrapMul(n, 30));
+    if (unit == "YEAR") return Value::Bigint(WrapMul(n, 365));
+    return Value::Bigint(n);  // DAY
   }
   if (f == "UPPER" || f == "LOWER") {
-    if (null_if_arg_null(0)) return Value::Null();
-    std::string s = args[0].kind() == TypeKind::kString ? args[0].str() : args[0].ToString();
-    for (char& c : s)
-      c = f == "UPPER" ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-                       : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (arg_null(0)) return Value::Null();
+    std::string s = TextOf(args[0]);
+    SqlCaseMap(&s, f == "UPPER");
     return Value::String(std::move(s));
   }
   if (f == "LENGTH") {
-    if (null_if_arg_null(0)) return Value::Null();
-    return Value::Bigint(static_cast<int64_t>(args[0].str().size()));
+    if (arg_null(0)) return Value::Null();
+    return Value::Bigint(static_cast<int64_t>(TextOf(args[0]).size()));
   }
   if (f == "CONCAT") {
     std::string out;
     for (const Value& v : args) {
       if (v.is_null()) return Value::Null();
-      out += v.kind() == TypeKind::kString ? v.str() : v.ToString();
+      out += TextOf(v);
     }
     return Value::String(std::move(out));
   }
   if (f == "SUBSTR" || f == "SUBSTRING") {
-    if (null_if_arg_null(0) || null_if_arg_null(1)) return Value::Null();
-    const std::string& s = args[0].str();
-    int64_t start = args[1].AsInt64();
+    if (arg_null(0) || arg_null(1)) return Value::Null();
+    std::string s = TextOf(args[0]);
+    // A NULL length reads as 0.
     int64_t len = args.size() > 2 ? args[2].AsInt64() : static_cast<int64_t>(s.size());
-    if (start < 1) start = 1;
-    if (static_cast<size_t>(start) > s.size()) return Value::String("");
-    return Value::String(s.substr(static_cast<size_t>(start - 1),
-                                  static_cast<size_t>(std::max<int64_t>(0, len))));
+    return Value::String(SqlSubstr(s, args[1].AsInt64(), len));
   }
   if (f == "TRIM") {
-    if (null_if_arg_null(0)) return Value::Null();
-    std::string s = args[0].str();
-    size_t b = s.find_first_not_of(' ');
-    size_t e2 = s.find_last_not_of(' ');
-    if (b == std::string::npos) return Value::String("");
-    return Value::String(s.substr(b, e2 - b + 1));
+    if (arg_null(0)) return Value::Null();
+    return Value::String(SqlTrim(TextOf(args[0])));
   }
   if (f == "ABS") {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     if (args[0].kind() == TypeKind::kDouble) return Value::Double(std::fabs(args[0].f64()));
     if (args[0].kind() == TypeKind::kDecimal)
-      return Value::Decimal(std::llabs(args[0].i64()), args[0].scale());
-    return Value::Bigint(std::llabs(args[0].i64()));
+      return Value::Decimal(SqlAbs(args[0].i64()), args[0].scale());
+    return Value::Bigint(SqlAbs(args[0].i64()));
   }
   if (f == "ROUND") {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     int64_t digits = args.size() > 1 && !args[1].is_null() ? args[1].AsInt64() : 0;
     double scale = std::pow(10.0, static_cast<double>(digits));
     return Value::Double(std::round(args[0].AsDouble() * scale) / scale);
   }
   if (f == "FLOOR") {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     return Value::Bigint(static_cast<int64_t>(std::floor(args[0].AsDouble())));
   }
   if (f == "CEIL" || f == "CEILING") {
-    if (null_if_arg_null(0)) return Value::Null();
+    if (arg_null(0)) return Value::Null();
     return Value::Bigint(static_cast<int64_t>(std::ceil(args[0].AsDouble())));
   }
   if (f == "COALESCE" || f == "NVL") {
@@ -224,7 +270,6 @@ Result<Value> EvalFunction(const Expr& e, const std::vector<Value>* row) {
     return Value::Null();
   }
   if (f == "IF") {
-    if (args.size() < 2) return Status::ExecError("IF needs 3 args");
     if (IsTrue(args[0])) return args[1];
     return args.size() > 2 ? args[2] : Value::Null();
   }
@@ -246,35 +291,26 @@ Result<Value> EvalFunction(const Expr& e, const std::vector<Value>* row) {
     state ^= state << 17;
     return Value::Double(static_cast<double>(state >> 11) / 9007199254740992.0);
   }
-  if (f == "CURRENT_DATE") return Value::Date(20000);       // fixed epoch for tests
-  if (f == "CURRENT_TIMESTAMP") return Value::Timestamp(20000LL * 86400 * 1000000);
-  return Status::ExecError("unknown function in evaluator: " + f);
+  if (f == "CURRENT_DATE") return Value::Date(20000);  // fixed epoch for tests
+  return Value::Timestamp(20000LL * kMicrosPerDay);   // CURRENT_TIMESTAMP
 }
 
-}  // namespace
+namespace {
 
-Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row) {
+/// The value of `e` before ConformToType; column references never get here.
+Result<Value> EvalNode(const Expr& e, const std::vector<Value>* row) {
   switch (e.kind) {
     case ExprKind::kLiteral:
       return e.literal;
-    case ExprKind::kColumnRef: {
-      if (!row) return Status::ExecError("column reference without a row");
-      if (e.binding < 0 || static_cast<size_t>(e.binding) >= row->size())
-        return Status::ExecError("binding out of range: " + e.ToString());
-      return (*row)[e.binding];
-    }
     case ExprKind::kBinary:
       return EvalBinary(e, row);
     case ExprKind::kUnary: {
       HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], row));
-      if (e.un_op == UnaryOp::kNot) {
-        if (v.is_null()) return Value::Null();
-        return Value::Boolean(!v.bool_value());
-      }
       if (v.is_null()) return Value::Null();
+      if (e.un_op == UnaryOp::kNot) return Value::Boolean(!v.bool_value());
       if (v.kind() == TypeKind::kDouble) return Value::Double(-v.f64());
-      if (v.kind() == TypeKind::kDecimal) return Value::Decimal(-v.i64(), v.scale());
-      return Value::Bigint(-v.i64());
+      if (v.kind() == TypeKind::kDecimal) return Value::Decimal(WrapSub(0, v.i64()), v.scale());
+      return Value::Bigint(WrapSub(0, v.i64()));
     }
     case ExprKind::kCase: {
       size_t pair_count = (e.children.size() - (e.has_else ? 1 : 0)) / 2;
@@ -316,14 +352,35 @@ Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row) {
       HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], row));
       return Value::Boolean(e.negated ? !v.is_null() : v.is_null());
     }
-    case ExprKind::kFunction:
-      return EvalFunction(e, row);
+    case ExprKind::kFunction: {
+      std::vector<Value> args;
+      args.reserve(e.children.size());
+      for (const ExprPtr& c : e.children) {
+        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, row));
+        args.push_back(std::move(v));
+      }
+      return ApplyFunction(e.func_name, args);
+    }
+    case ExprKind::kColumnRef:
     case ExprKind::kStar:
     case ExprKind::kSubquery:
     case ExprKind::kParam:
-      return Status::ExecError("cannot evaluate " + e.ToString());
+      break;
   }
-  return Status::ExecError("unhandled expression kind");
+  return Status::ExecError("cannot evaluate " + e.ToString());
+}
+
+}  // namespace
+
+Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row) {
+  if (e.kind == ExprKind::kColumnRef) {
+    if (!row) return Status::ExecError("column reference without a row");
+    if (e.binding < 0 || static_cast<size_t>(e.binding) >= row->size())
+      return Status::ExecError("binding out of range: " + e.ToString());
+    return (*row)[e.binding];
+  }
+  HIVE_ASSIGN_OR_RETURN(Value v, EvalNode(e, row));
+  return ConformToType(std::move(v), e.type);
 }
 
 }  // namespace hive

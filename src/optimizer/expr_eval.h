@@ -1,23 +1,59 @@
 #ifndef HIVE_OPTIMIZER_EXPR_EVAL_H_
 #define HIVE_OPTIMIZER_EXPR_EVAL_H_
 
+#include <string>
 #include <vector>
 
 #include "common/ast.h"
 
 namespace hive {
 
-/// Row-at-a-time evaluator for bound expressions. Used by the optimizer for
-/// constant folding and static partition pruning, and by the execution
-/// engine as the general (non-vectorized-kernel) path inside vectorized
-/// operators: the operator loops the evaluator over a batch.
+/// Row-at-a-time evaluator for bound expressions. Used for constant folding,
+/// static partition pruning, INSERT ... VALUES and the join residual; the
+/// vectorized interpreter (exec/vector_eval.h) must agree with it row for row.
+///
+/// Every computed value is returned as a column of the node's bound type
+/// would store it (ConformToType), so a parent sees the same value whether
+/// its operand was evaluated here or read back from a batch.
 ///
 /// `row` supplies the values for column bindings; a null pointer is only
 /// valid for expressions without column references.
 Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row);
 
+/// The built-in scalar function `name` (upper-cased, as bound) applied to its
+/// evaluated arguments. The one definition of function semantics: EvalExpr
+/// calls it per row, and the vectorized interpreter calls it per row of the
+/// argument columns for functions without a typed kernel.
+Result<Value> ApplyFunction(const std::string& name, const std::vector<Value>& args);
+
+/// OK when `name` is a built-in ApplyFunction accepts with `nargs`
+/// arguments; otherwise the error every call of it returns.
+Status CheckFunctionCall(const std::string& name, size_t nargs);
+
+/// `v` as a ColumnVector of type `t` stores it (AppendValue) and reads it
+/// back: DOUBLE via AsDouble, STRING via its text, DECIMAL rescaled,
+/// BOOLEAN as AsInt64() != 0, other kinds as AsInt64(). A NULL type passes
+/// `v` through unchanged.
+Value ConformToType(Value v, const DataType& t);
+
 /// SQL LIKE with % and _ wildcards.
 bool SqlLike(const std::string& text, const std::string& pattern);
+
+/// SUBSTR(s, start, len): 1-based start (values below 1 start at 1), empty
+/// past the end, negative lengths read nothing.
+std::string SqlSubstr(const std::string& s, int64_t start, int64_t len);
+
+/// TRIM(s): strips leading and trailing spaces.
+std::string SqlTrim(const std::string& s);
+
+/// UPPER / LOWER of ASCII letters, in place.
+void SqlCaseMap(std::string* s, bool upper);
+
+/// a % d for d != 0, truncated toward zero; x % -1 is 0 for every x.
+inline int64_t SqlMod(int64_t a, int64_t d) { return d == -1 ? 0 : a % d; }
+
+/// ABS of an integer payload; INT64_MIN wraps to itself.
+inline int64_t SqlAbs(int64_t v) { return v < 0 ? WrapSub(0, v) : v; }
 
 /// Three-valued-logic helpers: SQL comparisons return NULL when either side
 /// is NULL; this evaluator models NULL as Value::Null() of boolean type.

@@ -441,6 +441,43 @@ TEST_F(ExecTest, BetweenAndInList) {
   EXPECT_EQ((*rows)[0][0].i64(), 3);
 }
 
+TEST_F(ExecTest, OrderByAndBetweenOverFarApartBigints) {
+  TableDesc big;
+  big.db = "default";
+  big.name = "big";
+  big.schema.AddField("a", DataType::Bigint());
+  ASSERT_TRUE(catalog_->CreateTable(big).ok());
+  const int64_t kFar = 9000000000000000000LL;
+  WriteRows("big", {{Value::Bigint(kFar)}, {Value::Bigint(-kFar)}, {Value::Bigint(1)}});
+  auto sorted = Run("SELECT a FROM big ORDER BY a");
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  ASSERT_EQ(sorted->size(), 3u);
+  EXPECT_EQ((*sorted)[0][0].i64(), -kFar);
+  EXPECT_EQ((*sorted)[1][0].i64(), 1);
+  EXPECT_EQ((*sorted)[2][0].i64(), kFar);
+  auto count = Run(
+      "SELECT COUNT(*) FROM big WHERE a BETWEEN -9000000000000000000 AND "
+      "9000000000000000000");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count)[0][0].i64(), 3);
+}
+
+TEST_F(ExecTest, DateAgainstBigintOrdersByKindLikeConstantFolding) {
+  TableDesc dates;
+  dates.db = "default";
+  dates.name = "dates";
+  dates.schema.AddField("d", DataType::Date());
+  ASSERT_TRUE(catalog_->CreateTable(dates).ok());
+  WriteRows("dates", {{Value::Date(18262)}, {Value::Date(0)}, {Value::Date(-5)}});
+  // Value::Compare orders a DATE after any BIGINT, folded or not.
+  auto folded = Run("SELECT DATE '2020-01-01' > 100000");
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_TRUE((*folded)[0][0].bool_value());
+  auto count = Run("SELECT COUNT(*) FROM dates WHERE d > 100000");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count)[0][0].i64(), 3);
+}
+
 TEST_F(ExecTest, LikePredicate) {
   auto rows = Run("SELECT COUNT(*) FROM item WHERE i_category LIKE 'S%'");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "exec/vector_eval.h"
+#include "optimizer/binder.h"
 #include "optimizer/expr_eval.h"
 #include "sql/parser.h"
 
@@ -179,23 +184,51 @@ ExprPtr Lit(Value v) {
   return e;
 }
 
-/// The core property: the vectorized interpreter must agree with the scalar
-/// evaluator on every row, for every expression shape it accelerates.
+/// The core property: EvalVector equals a ColumnVector(e.type) filled with
+/// AppendValue(EvalExpr(row)) for every physical row (selection ignored):
+/// same validity, same payload on every valid row, and it fails exactly
+/// when EvalExpr fails on some row.
 void CheckParity(const ExprPtr& e, const RowBatch& batch) {
-  auto vec = EvalVector(*e, batch);
-  ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-  for (size_t i = 0; i < batch.num_rows(); ++i) {
+  SCOPED_TRACE(e->ToString());
+  ColumnVector want(e->type);
+  Status want_status = Status::OK();
+  for (size_t i = 0; i < batch.num_rows() && want_status.ok(); ++i) {
     std::vector<Value> row;
     for (size_t c = 0; c < batch.num_columns(); ++c)
       row.push_back(batch.column(c)->GetValue(i));
-    auto scalar = EvalExpr(*e, &row);
-    ASSERT_TRUE(scalar.ok());
-    Value from_vec = (*vec)->GetValue(i);
-    EXPECT_EQ(from_vec.is_null(), scalar->is_null()) << "row " << i;
-    if (!scalar->is_null()) {
-      EXPECT_EQ(Value::Compare(from_vec, *scalar), 0)
-          << "row " << i << ": " << from_vec.ToString() << " vs "
-          << scalar->ToString();
+    auto v = EvalExpr(*e, &row);
+    if (v.ok()) {
+      want.AppendValue(*v);
+    } else {
+      want_status = v.status();
+    }
+  }
+  auto got = EvalVector(*e, batch);
+  ASSERT_EQ(got.ok(), want_status.ok())
+      << (got.ok() ? want_status.ToString() : got.status().ToString());
+  if (!got.ok()) return;
+  const ColumnVector& vec = **got;
+  ASSERT_EQ(vec.size(), batch.num_rows());
+  ASSERT_EQ(vec.type().kind, e->type.kind);
+  if (e->type.kind == TypeKind::kDecimal) {
+    ASSERT_EQ(vec.type().scale, e->type.scale);
+  }
+  for (size_t i = 0; i < vec.size(); ++i) {
+    ASSERT_EQ(vec.validity()[i], want.validity()[i]) << "row " << i;
+    if (!want.validity()[i]) continue;
+    switch (e->type.kind) {
+      case TypeKind::kDouble: {
+        const double a = vec.f64_data()[i], b = want.f64_data()[i];
+        EXPECT_TRUE(std::memcmp(&a, &b, sizeof a) == 0 || (std::isnan(a) && std::isnan(b)))
+            << "row " << i << ": " << a << " vs " << b;
+        break;
+      }
+      case TypeKind::kString:
+        EXPECT_EQ(vec.str_data()[i], want.str_data()[i]) << "row " << i;
+        break;
+      default:
+        EXPECT_EQ(vec.i64_data()[i], want.i64_data()[i]) << "row " << i;
+        break;
     }
   }
 }
@@ -274,28 +307,297 @@ TEST(VectorEvalTest, AndOrNullSemantics) {
   }
 }
 
-TEST(VectorEvalTest, RowWiseFallbackForComplexExprs) {
-  RowBatch batch = MakeBatch();
-  // CASE + LIKE exercise the fallback path.
-  auto stmt = Parser::Parse(
-      "SELECT CASE WHEN c LIKE 'e%' THEN 1 ELSE 0 END FROM t");
-  ASSERT_TRUE(stmt.ok());
-  ExprPtr e = dynamic_cast<SelectStatement*>(stmt->get())
-                  ->select.body->core.items[0]
-                  .expr;
-  // Bind manually: c is column 2.
-  std::function<void(const ExprPtr&)> bind = [&](const ExprPtr& x) {
-    if (!x) return;
-    if (x->kind == ExprKind::kColumnRef) {
-      x->binding = 2;
-      x->type = DataType::String();
+// --- every kernel against every operand kind, through the binder ---
+
+/// Two columns of each kind (one DECIMAL per scale plus a second at scale
+/// 2), NULLs at a different row offset per column. `sd` holds only date
+/// text, `s2` date text and unparseable "nope"s.
+RowBatch MakeKindBatch() {
+  Schema schema;
+  const std::vector<std::pair<std::string, DataType>> fields = {
+      {"bo", DataType::Boolean()},      {"bo2", DataType::Boolean()},
+      {"i1", DataType::Bigint()},       {"i2", DataType::Bigint()},
+      {"f1", DataType::Double()},       {"f2", DataType::Double()},
+      {"m2", DataType::Decimal(9, 2)},  {"mb", DataType::Decimal(9, 2)},
+      {"m4", DataType::Decimal(18, 4)}, {"s1", DataType::String()},
+      {"s2", DataType::String()},       {"sd", DataType::String()},
+      {"d1", DataType::Date()},         {"d2", DataType::Date()},
+      {"t1", DataType::Timestamp()},    {"t2", DataType::Timestamp()}};
+  for (const auto& [name, type] : fields) schema.AddField(name, type);
+  RowBatch batch(schema);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> ints = {kMin, kMax, -1, 0, 1, 7, -7, 42, 100000, 3, kMax - 1};
+  const std::vector<double> doubles = {0.0, -0.0, 1.5, -2.25, 42.0, 1e6, 0.1, 3.0, -7.0};
+  const std::vector<int64_t> cents = {0, 150, -275, 4200, 100, 99999, -1, 12345, 700};
+  const std::vector<int64_t> units4 = {0, 15000, -27500, 420000, 1, 123456789, -70000};
+  const std::vector<std::string> strings = {
+      "", "abc", "Sports", "42", "  padded  ", "a string longer than fifteen chars",
+      "2020-01-05", "x%y", "-7", "1.5", "ABC"};
+  const std::vector<std::string> date_text = {"2020-01-05", "", "1999-12-31",
+                                              "2018-05-04 10:30:00", "2020-01-05"};
+  const std::vector<int64_t> days = {17532, 18000, 0, -365, 20000, 19000, 18000};
+  const size_t kRows = 60;
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t c = 0; c < fields.size(); ++c) {
+      ColumnVector& col = *batch.column(c);
+      if ((i + 3 * c) % 11 == 0) {
+        col.AppendNull();
+        continue;
+      }
+      const size_t k = i + c;  // second columns of a kind see other values
+      switch (fields[c].second.kind) {
+        case TypeKind::kBoolean: col.AppendI64(k % 3 == 0); break;
+        case TypeKind::kBigint: col.AppendI64(ints[k % ints.size()]); break;
+        case TypeKind::kDouble: col.AppendF64(doubles[k % doubles.size()]); break;
+        case TypeKind::kDecimal:
+          col.AppendI64(fields[c].second.scale == 2 ? cents[k % cents.size()]
+                                                    : units4[k % units4.size()]);
+          break;
+        case TypeKind::kDate: col.AppendI64(days[k % days.size()]); break;
+        case TypeKind::kTimestamp:
+          col.AppendI64(days[k % days.size()] * 86400000000LL + (k % 24) * 3600000000LL);
+          break;
+        default:
+          if (fields[c].first == "s1") {
+            col.AppendStr(strings[k % strings.size()]);
+          } else if (fields[c].first == "s2") {
+            col.AppendStr(k % 4 == 0 ? "nope" : date_text[k % date_text.size()]);
+          } else {
+            col.AppendStr(date_text[k % date_text.size()]);
+          }
+          break;
+      }
     }
-    if (x->kind == ExprKind::kLiteral) x->type.kind = x->literal.kind();
-    for (const ExprPtr& child : x->children) bind(child);
-  };
-  bind(e);
-  e->type = DataType::Bigint();
+  }
+  batch.set_num_rows(kRows);
+  return batch;
+}
+
+/// Binds `sql` as the binder does a select-list item over the batch schema.
+/// IF is a keyword to the parser, so an IF call is written as COALESCE and
+/// renamed to `rename_call` before binding.
+ExprPtr Bind(const std::string& sql, const Schema& schema, const std::string& rename_call = "") {
+  auto stmt = Parser::Parse("SELECT " + sql + " FROM t");
+  EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+  if (!stmt.ok()) return nullptr;
+  ExprPtr e = dynamic_cast<SelectStatement*>(stmt->get())->select.body->core.items[0].expr;
+  if (!rename_call.empty()) e->func_name = rename_call;
+  Config config;
+  Binder binder(nullptr, &config);
+  auto bound = binder.BindScalar(e, schema, "t");
+  EXPECT_TRUE(bound.ok()) << sql << ": " << bound.status().ToString();
+  return bound.ok() ? *bound : nullptr;
+}
+
+void CheckParity(const std::string& sql, const RowBatch& batch) {
+  SCOPED_TRACE(sql);
+  ExprPtr e = Bind(sql, batch.schema());
+  ASSERT_NE(e, nullptr);
   CheckParity(e, batch);
+}
+
+void CheckIfParity(const std::string& args, const RowBatch& batch) {
+  SCOPED_TRACE("IF(" + args + ")");
+  ExprPtr e = Bind("COALESCE(" + args + ")", batch.schema(), "IF");
+  ASSERT_NE(e, nullptr);
+  CheckParity(e, batch);
+}
+
+const std::vector<std::string> kKindCols = {"bo", "i1", "f1", "m2", "m4", "s1", "d1", "t1"};
+const std::vector<std::string> kAllCols = {"bo", "bo2", "i1", "i2", "f1", "f2",
+                                           "m2", "mb",  "m4", "s1", "s2", "d1",
+                                           "d2", "t1",  "t2"};
+const std::vector<std::string> kLiterals = {
+    "0",    "-9000000000000000000", "1.5",  "'abc'", "DATE '2020-01-05'",
+    "TIMESTAMP '2020-01-05 07:00:00'", "TRUE", "NULL", "CAST(1.50 AS DECIMAL(9,2))", "''"};
+
+TEST(VectorParityTest, ComparisonsOverEveryKindPair) {
+  RowBatch batch = MakeKindBatch();
+  for (std::string op : {"=", "<>", "<", "<=", ">", ">="}) {
+    for (const std::string& a : kKindCols) {
+      for (const std::string& b : kAllCols) CheckParity(a + " " + op + " " + b, batch);
+      for (const std::string& lit : kLiterals) {
+        CheckParity(a + " " + op + " " + lit, batch);
+        CheckParity(lit + " " + op + " " + a, batch);
+      }
+    }
+  }
+}
+
+TEST(VectorParityTest, BetweenAndInList) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kKindCols) {
+    for (const std::string& b : kAllCols) {
+      for (std::string between : {" BETWEEN ", " NOT BETWEEN "}) {
+        CheckParity(a + between + b + " AND " + a, batch);
+        CheckParity(a + between + "NULL AND " + b, batch);
+        CheckParity(a + between + b + " AND NULL", batch);
+        CheckParity("NULL" + between + a + " AND " + b, batch);
+      }
+      CheckParity(a + " IN (" + b + ", " + a + ")", batch);
+      CheckParity(a + " IN (" + b + ", NULL)", batch);
+      CheckParity(a + " NOT IN (" + b + ", NULL)", batch);
+      CheckParity(a + " NOT IN (" + b + ")", batch);
+    }
+    CheckParity(a + " BETWEEN -9000000000000000000 AND 9000000000000000000", batch);
+    CheckParity(a + " IN (0, 1.5, 'abc', DATE '2020-01-05', TRUE)", batch);
+    CheckParity(a + " NOT IN (42, 'Sports', NULL)", batch);
+    CheckParity("NULL IN (" + a + ", 1)", batch);
+  }
+}
+
+TEST(VectorParityTest, UnaryLogicAndNullTests) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kAllCols) {
+    CheckParity("NOT " + a, batch);
+    CheckParity("-" + a, batch);
+    CheckParity(a + " IS NULL", batch);
+    CheckParity(a + " IS NOT NULL", batch);
+    for (const std::string& b : kKindCols) {
+      CheckParity(a + " AND " + b, batch);
+      CheckParity(a + " OR " + b, batch);
+      CheckParity("NOT (" + a + " OR NULL) AND " + b, batch);
+    }
+  }
+}
+
+TEST(VectorParityTest, ArithmeticAndStringOperators) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kAllCols) {
+    for (const std::string& b : kAllCols) {
+      for (std::string op : {" + ", " - ", " * ", " / ", " % ", " || ", " LIKE "})
+        CheckParity(a + op + b, batch);
+    }
+    for (std::string lit : {"0", "NULL", "3", "-1", "2.5", "'S%'", "'%a_c'"}) {
+      CheckParity(a + " % " + lit, batch);
+      CheckParity(a + " / " + lit, batch);
+      CheckParity(a + " LIKE " + lit, batch);
+      CheckParity(a + " NOT LIKE " + lit, batch);
+    }
+    CheckParity(a + " + INTERVAL 2 DAY", batch);
+    CheckParity(a + " - INTERVAL 1 DAY", batch);
+  }
+}
+
+TEST(VectorParityTest, CastsBetweenEveryKindPair) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kAllCols) {
+    for (std::string type : {"BOOLEAN", "BIGINT", "DOUBLE", "DECIMAL(9,2)",
+                                    "DECIMAL(18,4)", "DECIMAL(5,0)", "STRING", "DATE",
+                                    "TIMESTAMP"})
+      CheckParity("CAST(" + a + " AS " + type + ")", batch);
+  }
+  CheckParity("CAST(sd AS DATE)", batch);  // parses
+  CheckParity("CAST(sd AS TIMESTAMP)", batch);
+  CheckParity("CAST(s2 AS DATE)", batch);  // fails on "nope"
+  CheckParity("CAST(NULL AS DATE)", batch);
+}
+
+TEST(VectorParityTest, CaseWithAndWithoutElse) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kAllCols) {
+    for (const std::string& b : kKindCols) {
+      CheckParity("CASE WHEN bo THEN " + a + " ELSE " + b + " END", batch);
+      CheckParity("CASE WHEN " + a + " IS NULL THEN " + b + " WHEN i1 > 0 THEN " + a +
+                      " END",
+                  batch);
+    }
+    CheckParity("CASE WHEN " + a + " THEN 'yes' WHEN NOT " + a + " THEN 'no' END", batch);
+    CheckParity("CASE " + a + " WHEN 0 THEN 'zero' WHEN 'abc' THEN 'abc' ELSE s1 END", batch);
+    CheckParity("CASE WHEN bo THEN NULL WHEN i1 > 0 THEN " + a + " END", batch);
+    CheckParity("CONCAT(CASE WHEN bo THEN i1 ELSE " + a + " END, '|')", batch);
+  }
+  CheckParity("CASE WHEN s1 LIKE 'S%' THEN 1 ELSE 0 END", batch);
+  // MakeBatch's c alternates "odd" and "even", so the pattern splits the rows.
+  CheckParity("CASE WHEN c LIKE 'e%' THEN 1 ELSE 0 END", MakeBatch());
+}
+
+TEST(VectorParityTest, FunctionsOverEveryKind) {
+  RowBatch batch = MakeKindBatch();
+  for (const std::string& a : kAllCols) {
+    for (std::string f : {"UPPER", "LOWER", "LENGTH", "TRIM", "ABS"})
+      CheckParity(f + std::string("(") + a + ")", batch);
+    CheckParity("SUBSTR(" + a + ", 2)", batch);
+    CheckParity("SUBSTRING(" + a + ", i2, 3)", batch);
+    CheckParity("SUBSTR(s1, 2, " + a + ")", batch);
+    CheckParity("SUBSTR(" + a + ", 1, NULL)", batch);
+    CheckParity("CONCAT(" + a + ", '-', s1)", batch);
+    for (const std::string& b : kKindCols) {
+      CheckParity("COALESCE(" + a + ", " + b + ")", batch);
+      CheckParity("NVL(NULL, " + a + ", " + b + ")", batch);
+      CheckIfParity(a + ", " + b + ", i2", batch);
+      CheckIfParity("bo, " + a + ", " + b, batch);
+      CheckParity("GREATEST(" + a + ", " + b + ")", batch);
+      CheckParity("LEAST(" + a + ", " + b + ", " + a + ")", batch);
+    }
+    CheckIfParity("bo, " + a, batch);
+  }
+  for (std::string a : {"f1", "f2", "m2", "m4", "s1", "bo"}) {
+    CheckParity("ROUND(" + std::string(a) + ")", batch);
+    CheckParity("ROUND(" + std::string(a) + ", 1)", batch);
+    CheckParity("FLOOR(" + std::string(a) + ")", batch);
+    CheckParity("CEIL(" + std::string(a) + ")", batch);
+  }
+  for (std::string a : {"d1", "d2", "t1", "t2"}) {
+    for (std::string f : {"YEAR", "MONTH", "DAY"})
+      CheckParity(f + "(" + std::string(a) + ")", batch);
+    for (std::string field : {"year", "quarter", "hour", "minute", "second"})
+      CheckParity("EXTRACT(" + field + " FROM " + std::string(a) + ")", batch);
+  }
+  CheckParity("CURRENT_DATE()", batch);
+  CheckParity("d1 < CURRENT_TIMESTAMP()", batch);
+  CheckParity("INTERVAL 3 MONTH", batch);
+}
+
+/// CheckParity, plus whether the evaluation should succeed at all.
+void CheckParityAndOutcome(const std::string& sql, const RowBatch& batch, bool ok) {
+  CheckParity(sql, batch);
+  ExprPtr e = Bind(sql, batch.schema());
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(EvalVector(*e, batch).ok(), ok) << sql;
+}
+
+TEST(VectorParityTest, FallibleCastsRunOnlyWhereEvalExprReachesThem) {
+  RowBatch batch = MakeKindBatch();
+  // Succeed: the cast never sees "nope".
+  for (std::string sql :
+       {"CASE WHEN s2 = 'nope' THEN NULL ELSE CAST(s2 AS DATE) END",
+        "CASE WHEN s2 = 'nope' THEN 0 WHEN CAST(s2 AS DATE) > DATE '2019-01-01' THEN 1 "
+        "ELSE 2 END",
+        "s2 <> 'nope' AND CAST(s2 AS DATE) > DATE '2000-01-01'",
+        "s2 = 'nope' OR CAST(s2 AS TIMESTAMP) IS NULL",
+        "FALSE AND CAST(s1 AS DATE) IS NULL",
+        "s2 IN ('nope', CAST(CAST(s2 AS DATE) AS STRING))",
+        "CASE WHEN FALSE THEN UPPER() END"})
+    CheckParityAndOutcome(sql, batch, true);
+  // Fail: some reached row casts "nope".
+  for (std::string sql :
+       {"TRUE AND CAST(s2 AS DATE) IS NULL",
+        "CASE WHEN s2 <> 'nope' THEN NULL ELSE CAST(s2 AS DATE) END",
+        "s2 IN ('x', CAST(CAST(s2 AS DATE) AS STRING))",
+        "COALESCE(s2, CAST(s2 AS DATE))",
+        "CASE WHEN bo THEN UPPER() END"})
+    CheckParityAndOutcome(sql, batch, false);
+}
+
+TEST(VectorParityTest, CaseAndIfTakeTheirResultTypeFromTheirBranches) {
+  RowBatch batch = MakeKindBatch();
+  EXPECT_EQ(Bind("CASE WHEN bo THEN NULL WHEN i1 > 0 THEN s1 END", batch.schema())->type.kind,
+            TypeKind::kString);
+  EXPECT_EQ(Bind("COALESCE(bo, 'a', 'b')", batch.schema(), "IF")->type.kind,
+            TypeKind::kString);
+}
+
+TEST(VectorParityTest, SelectionIsIgnored) {
+  RowBatch batch = MakeKindBatch();
+  std::vector<int32_t> every_third;
+  for (int32_t i = 0; i < static_cast<int32_t>(batch.num_rows()); i += 3)
+    every_third.push_back(i);
+  batch.SetSelection(every_third);
+  CheckParity("i1 BETWEEN i2 AND 100", batch);
+  CheckParity("CASE WHEN s1 LIKE '%a%' THEN UPPER(s1) ELSE CAST(d1 AS STRING) END", batch);
+  CheckParity("CASE WHEN s2 = 'nope' THEN NULL ELSE CAST(s2 AS DATE) END", batch);
 }
 
 TEST(VectorEvalTest, FilterSelectionIntersectsExisting) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -271,13 +272,23 @@ class ValueOrderProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ValueOrderProperty, OrderIsTotalAndHashConsistent) {
   Rng rng(GetParam());
+  // Extremes more than INT64_MAX apart from each other and from the small
+  // values: a comparison that subtracts payloads orders them wrongly.
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t extremes[] = {kMin, kMin + 1, kMax - 1, kMax};
+  auto extreme = [&] { return extremes[rng.Uniform(4)]; };
   auto random_value = [&]() -> Value {
-    switch (rng.Uniform(5)) {
+    switch (rng.Uniform(9)) {
       case 0: return Value::Null();
       case 1: return Value::Bigint(rng.Range(-50, 50));
       case 2: return Value::Double(static_cast<double>(rng.Range(-50, 50)));
       case 3: return Value::Decimal(rng.Range(-5000, 5000), 2);
-      default: return Value::String(std::string(1, 'a' + rng.Uniform(5)));
+      case 4: return Value::String(std::string(1, 'a' + rng.Uniform(5)));
+      case 5: return Value::Bigint(extreme());
+      case 6: return Value::Decimal(rng.Uniform(2) ? extreme() : rng.Range(-5000, 5000), 2);
+      case 7: return Value::Date(rng.Uniform(2) ? extreme() : rng.Range(-50, 50));
+      default: return Value::Timestamp(rng.Uniform(2) ? extreme() : rng.Range(-50, 50));
     }
   };
   std::vector<Value> values;
