@@ -69,7 +69,7 @@ const double* Doubles(const ColumnVector& col, std::vector<double>* buf) {
 }
 
 /// Value::i64(), the raw payload: 0 for DOUBLE and STRING. It is what NOT,
-/// AND/OR, CASE and IF test for truth, and what unary minus and ABS negate.
+/// AND/OR and CASE test for truth, and what unary minus negates.
 const int64_t* Payloads(const ColumnVector& col, std::vector<int64_t>* buf) {
   const TypeKind kind = col.type().kind;
   if (kind == TypeKind::kDouble || kind == TypeKind::kString) {
@@ -78,13 +78,6 @@ const int64_t* Payloads(const ColumnVector& col, std::vector<int64_t>* buf) {
   }
   if (kind == TypeKind::kBoolean) return Int64s(col, buf);
   return col.i64_data().data();
-}
-
-/// The text string operators see for a valid row: a STRING's bytes,
-/// anything else rendered as SQL.
-std::string CellText(const ColumnVector& col, size_t i) {
-  return col.type().kind == TypeKind::kString ? col.str_data()[i]
-                                              : col.GetValue(i).ToString();
 }
 
 enum class Conversion {
@@ -113,7 +106,7 @@ Result<ColumnVectorPtr> Convert(const ColumnVectorPtr& in, const DataType& to,
   }
   if (to.kind == TypeKind::kString) {
     for (size_t i = 0; i < n; ++i)
-      if (valid[i]) out->str_data()[i] = CellText(*in, i);
+      if (valid[i]) out->str_data()[i] = TextOf(in->GetValue(i));
     return out;
   }
   int64_t* o = out->i64_data().data();
@@ -210,26 +203,13 @@ std::vector<int32_t> RowsWhere(const std::vector<uint8_t>& mask) {
 
 // --- Lazily evaluated operands ---------------------------------------------
 
-/// True when `e` can fail on some rows and not others, so that it must run
-/// only on the rows EvalExpr reaches it on: it contains a CAST from STRING to
-/// DATE or TIMESTAMP, or a call or node EvalExpr rejects outright.
+/// True when `e` contains a CAST to DATE or TIMESTAMP: parsing a STRING is
+/// the one thing EvalExpr fails on for some rows and not others, so such an
+/// operand must run only on the rows EvalExpr reaches it on.
 bool CanFail(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kCast:
-      if (e.children[0]->type.kind == TypeKind::kString &&
-          (e.cast_type.kind == TypeKind::kDate || e.cast_type.kind == TypeKind::kTimestamp))
-        return true;
-      break;
-    case ExprKind::kFunction:
-      if (!CheckFunctionCall(e.func_name, e.children.size()).ok()) return true;
-      break;
-    case ExprKind::kStar:
-    case ExprKind::kSubquery:
-    case ExprKind::kParam:
-      return true;
-    default:
-      break;
-  }
+  if (e.kind == ExprKind::kCast &&
+      (e.cast_type.kind == TypeKind::kDate || e.cast_type.kind == TypeKind::kTimestamp))
+    return true;
   for (const ExprPtr& c : e.children)
     if (CanFail(*c)) return true;
   return false;
@@ -276,9 +256,7 @@ Result<ColumnVectorPtr> EvalWhere(const Expr& e, const RowBatch& batch, Reached 
 template <typename Fn>
 void WithRowCompare(const ColumnVector& l, const ColumnVector& r, Fn fn) {
   const TypeKind lk = l.type().kind, rk = r.type().kind;
-  auto numeric = [](TypeKind k) {
-    return k == TypeKind::kBigint || k == TypeKind::kDouble || k == TypeKind::kDecimal;
-  };
+  const bool numeric = l.type().IsNumeric() && r.type().IsNumeric();
   if (lk == TypeKind::kString && rk == TypeKind::kString) {
     const auto& a = l.str_data();
     const auto& b = r.str_data();
@@ -287,8 +265,7 @@ void WithRowCompare(const ColumnVector& l, const ColumnVector& r, Fn fn) {
     const auto& a = l.f64_data();
     const auto& b = r.f64_data();
     fn([&](size_t i) { return ThreeWay(a[i], b[i]); });
-  } else if (numeric(lk) && numeric(rk) &&
-             (lk == TypeKind::kDouble || rk == TypeKind::kDouble)) {
+  } else if (numeric && (lk == TypeKind::kDouble || rk == TypeKind::kDouble)) {
     // As Value::Compare: both sides as long double, DECIMAL descaled.
     auto widen = [](const ColumnVector& c) {
       std::vector<long double> out(c.size());
@@ -301,7 +278,7 @@ void WithRowCompare(const ColumnVector& l, const ColumnVector& r, Fn fn) {
     };
     const std::vector<long double> a = widen(l), b = widen(r);
     fn([&](size_t i) { return ThreeWay(a[i], b[i]); });
-  } else if (numeric(lk) && numeric(rk)) {  // BIGINT/DECIMAL, exact
+  } else if (numeric) {  // BIGINT/DECIMAL, exact
     const int ls = lk == TypeKind::kDecimal ? l.type().scale : 0;
     const int rs = rk == TypeKind::kDecimal ? r.type().scale : 0;
     const int64_t* a = l.i64_data().data();
@@ -598,123 +575,18 @@ Result<ColumnVectorPtr> EvalBetween(const Expr& e, const RowBatch& batch) {
   return out;
 }
 
-/// A STRING column of fn(i) on rows where every argument is valid.
-template <typename Fn>
-ColumnVectorPtr StringRows(const std::vector<ColumnVectorPtr>& args, size_t n, Fn fn) {
-  auto out = NewColumn(DataType::String(), n);
-  for (size_t i = 0; i < n; ++i) {
-    bool valid = true;
-    for (const ColumnVectorPtr& a : args) valid = valid && a->validity()[i];
-    out->validity()[i] = valid;
-    if (valid) out->str_data()[i] = fn(i);
-  }
-  return out;
-}
-
-/// Typed kernels for the string functions, COALESCE/NVL, IF and ABS; the
-/// other functions apply ApplyFunction to each row's boxed arguments.
+/// A function call: ApplyFunction on each row's arguments.
 Result<ColumnVectorPtr> EvalFunction(const Expr& e, const RowBatch& batch) {
-  const std::string& f = e.func_name;
-  const size_t n = batch.num_rows();
   std::vector<ColumnVectorPtr> args;
   for (const ExprPtr& c : e.children) {
     HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*c, batch));
     args.push_back(std::move(col));
   }
-  HIVE_RETURN_IF_ERROR(CheckFunctionCall(f, args.size()));
-  std::vector<ColumnVectorPtr> text;
-  if (f == "UPPER" || f == "LOWER" || f == "LENGTH" || f == "TRIM" || f == "CONCAT" ||
-      f == "SUBSTR" || f == "SUBSTRING") {
-    for (const ColumnVectorPtr& a : args) text.push_back(Store(a, DataType::String()));
-  }
-  if (f == "UPPER" || f == "LOWER") {
-    const bool upper = f == "UPPER";
-    return StringRows(args, n, [&](size_t i) {
-      std::string s = text[0]->str_data()[i];
-      SqlCaseMap(&s, upper);
-      return s;
-    });
-  }
-  if (f == "TRIM")
-    return StringRows(args, n, [&](size_t i) { return SqlTrim(text[0]->str_data()[i]); });
-  if (f == "CONCAT") {
-    return StringRows(args, n, [&](size_t i) {
-      std::string s;
-      for (const ColumnVectorPtr& t : text) s += t->str_data()[i];
-      return s;
-    });
-  }
-  if (f == "LENGTH") {
-    auto out = NewColumn(DataType::Bigint(), n);
-    out->validity() = args[0]->validity();
-    for (size_t i = 0; i < n; ++i)
-      out->i64_data()[i] = static_cast<int64_t>(text[0]->str_data()[i].size());
-    return out;
-  }
-  if (f == "SUBSTR" || f == "SUBSTRING") {
-    // A NULL length reads as 0; only the string and the start make NULL.
-    std::vector<int64_t> ss, ls;
-    const int64_t* start = Int64s(*args[1], &ss);
-    const int64_t* len = args.size() > 2 ? Int64s(*args[2], &ls) : nullptr;
-    return StringRows({args[0], args[1]}, n, [&](size_t i) {
-      const std::string& s = text[0]->str_data()[i];
-      const int64_t l = !len ? static_cast<int64_t>(s.size())
-                             : args[2]->validity()[i] ? len[i] : 0;
-      return SqlSubstr(s, start[i], l);
-    });
-  }
-  if (f == "COALESCE" || f == "NVL") {
-    auto out = NewColumn(e.type, n);
-    std::vector<uint8_t> open(n, 1);
-    for (const ColumnVectorPtr& a : args) {
-      std::vector<uint8_t> take(n);
-      for (size_t i = 0; i < n; ++i) {
-        take[i] = open[i] && a->validity()[i];
-        open[i] &= !take[i];
-      }
-      const std::vector<int32_t> rows = RowsWhere(take);
-      CopyRows(out.get(), rows.data(), *Store(a, e.type), rows.data(), rows.size());
-    }
-    return out;
-  }
-  if (f == "IF") {
-    auto out = NewColumn(e.type, n);
-    std::vector<int64_t> buf;
-    const int64_t* truth = Payloads(*args[0], &buf);
-    std::vector<uint8_t> cond(n), other(n);
-    for (size_t i = 0; i < n; ++i) {
-      cond[i] = args[0]->validity()[i] && truth[i] != 0;
-      other[i] = !cond[i];
-    }
-    std::vector<int32_t> rows = RowsWhere(cond);
-    CopyRows(out.get(), rows.data(), *Store(args[1], e.type), rows.data(), rows.size());
-    if (args.size() > 2) {
-      rows = RowsWhere(other);
-      CopyRows(out.get(), rows.data(), *Store(args[2], e.type), rows.data(), rows.size());
-    }
-    return out;
-  }
-  if (f == "ABS") {
-    const ColumnVector& a = *args[0];
-    if (a.type().kind == TypeKind::kDouble) {
-      auto out = NewColumn(DataType::Double(), n);
-      out->validity() = a.validity();
-      for (size_t i = 0; i < n; ++i) out->f64_data()[i] = std::fabs(a.f64_data()[i]);
-      return out;
-    }
-    // A DECIMAL keeps its scale; other kinds take the payload's ABS as BIGINT.
-    std::vector<int64_t> buf;
-    const int64_t* p = Payloads(a, &buf);
-    auto out = NewColumn(a.type().kind == TypeKind::kDecimal ? a.type() : DataType::Bigint(), n);
-    out->validity() = a.validity();
-    for (size_t i = 0; i < n; ++i) out->i64_data()[i] = SqlAbs(p[i]);
-    return out;
-  }
   auto out = std::make_shared<ColumnVector>(e.type);
   std::vector<Value> row_args(args.size());
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < batch.num_rows(); ++i) {
     for (size_t a = 0; a < args.size(); ++a) row_args[a] = args[a]->GetValue(i);
-    HIVE_ASSIGN_OR_RETURN(Value v, ApplyFunction(f, row_args));
+    HIVE_ASSIGN_OR_RETURN(Value v, ApplyFunction(e.func_name, row_args));
     out->AppendValue(ConformToType(std::move(v), e.type));
   }
   return out;
@@ -767,6 +639,9 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
   // No row reaches `e`, so nothing can fail.
   if (batch.num_rows() == 0) return std::make_shared<ColumnVector>(e.type);
   HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr v, EvalNode(e, batch));
+  // As in EvalExpr, a column reference yields its input as it is; computed
+  // values are stored as e.type.
+  if (e.kind == ExprKind::kColumnRef) return v;
   return Store(v, e.type);
 }
 

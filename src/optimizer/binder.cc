@@ -83,6 +83,46 @@ DataType AggResultType(const std::string& func, const DataType& arg) {
   return arg;  // MIN/MAX
 }
 
+/// The type a set operation's column takes from its two inputs' types: the
+/// shared kind, the wider numeric kind (DOUBLE, else DECIMAL at the larger
+/// scale), TIMESTAMP for DATE with TIMESTAMP, the non-NULL side, or STRING.
+DataType SetOpColumnType(const DataType& a, const DataType& b) {
+  if (a.kind == TypeKind::kNull) return b;
+  if (b.kind == TypeKind::kNull || (a.kind == b.kind && a.scale == b.scale)) return a;
+  if (a.IsNumeric() && b.IsNumeric()) {
+    if (a.kind == TypeKind::kDouble || b.kind == TypeKind::kDouble) return DataType::Double();
+    return DataType::Decimal(18, std::max(a.kind == TypeKind::kDecimal ? a.scale : 0,
+                                          b.kind == TypeKind::kDecimal ? b.scale : 0));
+  }
+  if ((a.kind == TypeKind::kDate || a.kind == TypeKind::kTimestamp) &&
+      (b.kind == TypeKind::kDate || b.kind == TypeKind::kTimestamp))
+    return DataType::Timestamp();
+  return DataType::String();
+}
+
+/// `input`, with a projection that casts every column whose kind or scale
+/// differs from `schema`'s to that type.
+RelNodePtr CastColumns(RelNodePtr input, const Schema& schema) {
+  bool same = true;
+  std::vector<ExprPtr> exprs;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < schema.num_fields(); ++i) {
+    const Field& field = input->schema.field(i);
+    const DataType& to = schema.field(i).type;
+    ExprPtr ref = MakeColumnRef("", field.name);
+    ref->binding = static_cast<int>(i);
+    ref->type = field.type;
+    if (field.type.kind != to.kind || field.type.scale != to.scale) {
+      same = false;
+      ref = MakeCast(ref, to);
+      ref->type = to;
+    }
+    exprs.push_back(std::move(ref));
+    names.push_back(field.name);
+  }
+  return same ? input : MakeProject(input, std::move(exprs), std::move(names));
+}
+
 }  // namespace
 
 bool IsAggregateFunction(const std::string& func) {
@@ -220,9 +260,14 @@ Result<RelNodePtr> Binder::BindQueryExpr(const QueryExpr& query, Scope* outer) {
   if (left->schema.num_fields() != right->schema.num_fields())
     return Status::PlanError("set operation inputs differ in arity");
 
+  // Both inputs are cast to one type per column, so every operator above
+  // reads the type the schema states.
   auto node = std::make_shared<RelNode>();
-  node->schema = left->schema;
-  node->inputs = {left, right};
+  for (size_t i = 0; i < left->schema.num_fields(); ++i)
+    node->schema.AddField(left->schema.field(i).name,
+                          SetOpColumnType(left->schema.field(i).type,
+                                          right->schema.field(i).type));
+  node->inputs = {CastColumns(left, node->schema), CastColumns(right, node->schema)};
   switch (query.op) {
     case SetOpKind::kUnionAll:
       node->kind = RelKind::kUnion;
@@ -533,28 +578,37 @@ Result<DataType> Binder::DeriveFunctionType(Expr* e) {
   auto arg_type = [&](size_t i) {
     return i < e->children.size() ? e->children[i]->type : DataType::Null();
   };
+  // A scalar built-in reads its first `k` arguments unchecked, so a call
+  // with fewer is rejected here.
+  auto needs = [&](size_t k, const DataType& type) -> Result<DataType> {
+    if (e->children.size() < k)
+      return Status::PlanError(f + " needs at least " + std::to_string(k) + " argument(s)");
+    return type;
+  };
   if (IsAggregateFunction(f)) return AggResultType(f, arg_type(0));
   if (f == "ROW_NUMBER" || f == "RANK" || f == "DENSE_RANK") return DataType::Bigint();
   if (f.rfind("EXTRACT_", 0) == 0 || f == "YEAR" || f == "MONTH" || f == "DAY")
-    return DataType::Bigint();
+    return needs(1, DataType::Bigint());
   if (f.rfind("INTERVAL_", 0) == 0) {
     if (config_->legacy_sql_only)
       return Status::NotSupported("INTERVAL notation requires Hive > 1.2");
-    return DataType::Bigint();
+    return needs(1, DataType::Bigint());
   }
-  if (f == "UPPER" || f == "LOWER" || f == "CONCAT" || f == "SUBSTR" ||
-      f == "SUBSTRING" || f == "TRIM")
-    return DataType::String();
-  if (f == "LENGTH") return DataType::Bigint();
-  if (f == "ABS") return arg_type(0);
-  if (f == "ROUND") return arg_type(0).kind == TypeKind::kDecimal ? arg_type(0)
-                                                                  : DataType::Double();
-  if (f == "FLOOR" || f == "CEIL" || f == "CEILING") return DataType::Bigint();
+  if (f == "UPPER" || f == "LOWER" || f == "TRIM") return needs(1, DataType::String());
+  if (f == "SUBSTR" || f == "SUBSTRING") return needs(2, DataType::String());
+  if (f == "CONCAT") return DataType::String();
+  if (f == "LENGTH") return needs(1, DataType::Bigint());
+  if (f == "ABS") return needs(1, arg_type(0));
+  if (f == "ROUND")
+    return needs(1, arg_type(0).kind == TypeKind::kDecimal ? arg_type(0) : DataType::Double());
+  if (f == "FLOOR" || f == "CEIL" || f == "CEILING") return needs(1, DataType::Bigint());
   if (f == "COALESCE" || f == "NVL" || f == "IF" || f == "GREATEST" || f == "LEAST") {
     // IF's first argument is its condition, not a result.
-    for (size_t i = f == "IF" ? 1 : 0; i < e->children.size(); ++i)
-      if (e->children[i]->type.kind != TypeKind::kNull) return e->children[i]->type;
-    return DataType::Null();
+    DataType type = DataType::Null();
+    for (size_t i = f == "IF" ? 1 : 0; i < e->children.size() && type.kind == TypeKind::kNull;
+         ++i)
+      type = e->children[i]->type;
+    return needs(f == "IF" ? 2 : 0, type);
   }
   if (f == "RAND") {
     uses_nondeterministic_ = true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <map>
 
 namespace hive {
 
@@ -30,12 +29,6 @@ bool SqlLike(const std::string& text, const std::string& pattern) {
 }
 
 namespace {
-
-/// The text string operators see for a non-NULL value: a STRING's bytes,
-/// anything else rendered as SQL.
-std::string TextOf(const Value& v) {
-  return v.kind() == TypeKind::kString ? v.str() : v.ToString();
-}
 
 Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
   // AND/OR use three-valued logic with short-circuiting.
@@ -125,23 +118,8 @@ Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
 
 }  // namespace
 
-std::string SqlSubstr(const std::string& s, int64_t start, int64_t len) {
-  if (start < 1) start = 1;
-  if (static_cast<size_t>(start) > s.size()) return "";
-  return s.substr(static_cast<size_t>(start - 1),
-                  static_cast<size_t>(std::max<int64_t>(0, len)));
-}
-
-std::string SqlTrim(const std::string& s) {
-  size_t b = s.find_first_not_of(' ');
-  if (b == std::string::npos) return "";
-  return s.substr(b, s.find_last_not_of(' ') - b + 1);
-}
-
-void SqlCaseMap(std::string* s, bool upper) {
-  for (char& c : *s)
-    c = upper ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
-              : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+std::string TextOf(const Value& v) {
+  return v.kind() == TypeKind::kString ? v.str() : v.ToString();
 }
 
 Value ConformToType(Value v, const DataType& t) {
@@ -162,35 +140,7 @@ Value ConformToType(Value v, const DataType& t) {
   }
 }
 
-namespace {
-
-/// Fewest arguments the built-in `f` reads, or -1 when `f` is not one.
-int MinArity(const std::string& f) {
-  if (f.rfind("EXTRACT_", 0) == 0 || f.rfind("INTERVAL_", 0) == 0) return 1;
-  static const std::map<std::string, int> kMinArity = {
-      {"YEAR", 1},    {"MONTH", 1},         {"DAY", 1},          {"UPPER", 1},
-      {"LOWER", 1},   {"LENGTH", 1},        {"TRIM", 1},         {"ABS", 1},
-      {"ROUND", 1},   {"FLOOR", 1},         {"CEIL", 1},         {"CEILING", 1},
-      {"SUBSTR", 2},  {"SUBSTRING", 2},     {"IF", 2},           {"CONCAT", 0},
-      {"COALESCE", 0}, {"NVL", 0},          {"GREATEST", 0},     {"LEAST", 0},
-      {"RAND", 0},    {"CURRENT_DATE", 0},  {"CURRENT_TIMESTAMP", 0}};
-  auto it = kMinArity.find(f);
-  return it == kMinArity.end() ? -1 : it->second;
-}
-
-}  // namespace
-
-Status CheckFunctionCall(const std::string& f, size_t nargs) {
-  const int min_arity = MinArity(f);
-  if (min_arity < 0) return Status::ExecError("unknown function in evaluator: " + f);
-  if (nargs < static_cast<size_t>(min_arity))
-    return Status::ExecError(f + " needs at least " + std::to_string(min_arity) +
-                             " argument(s)");
-  return Status::OK();
-}
-
 Result<Value> ApplyFunction(const std::string& f, const std::vector<Value>& args) {
-  HIVE_RETURN_IF_ERROR(CheckFunctionCall(f, args.size()));
   auto arg_null = [&](size_t i) { return i < args.size() && args[i].is_null(); };
 
   if (f.rfind("EXTRACT_", 0) == 0 || f == "YEAR" || f == "MONTH" || f == "DAY") {
@@ -217,7 +167,9 @@ Result<Value> ApplyFunction(const std::string& f, const std::vector<Value>& args
   if (f == "UPPER" || f == "LOWER") {
     if (arg_null(0)) return Value::Null();
     std::string s = TextOf(args[0]);
-    SqlCaseMap(&s, f == "UPPER");
+    for (char& c : s)
+      c = f == "UPPER" ? static_cast<char>(std::toupper(static_cast<unsigned char>(c)))
+                       : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     return Value::String(std::move(s));
   }
   if (f == "LENGTH") {
@@ -234,21 +186,28 @@ Result<Value> ApplyFunction(const std::string& f, const std::vector<Value>& args
   }
   if (f == "SUBSTR" || f == "SUBSTRING") {
     if (arg_null(0) || arg_null(1)) return Value::Null();
-    std::string s = TextOf(args[0]);
-    // A NULL length reads as 0.
-    int64_t len = args.size() > 2 ? args[2].AsInt64() : static_cast<int64_t>(s.size());
-    return Value::String(SqlSubstr(s, args[1].AsInt64(), len));
+    const std::string s = TextOf(args[0]);
+    // 1-based; a start below 1 starts at 1, a NULL length reads as 0.
+    const int64_t start = std::max<int64_t>(1, args[1].AsInt64());
+    const int64_t len = args.size() > 2 ? args[2].AsInt64() : static_cast<int64_t>(s.size());
+    if (static_cast<uint64_t>(start) > s.size()) return Value::String("");
+    return Value::String(s.substr(static_cast<size_t>(start - 1),
+                                  static_cast<size_t>(std::max<int64_t>(0, len))));
   }
   if (f == "TRIM") {
     if (arg_null(0)) return Value::Null();
-    return Value::String(SqlTrim(TextOf(args[0])));
+    const std::string s = TextOf(args[0]);
+    const size_t b = s.find_first_not_of(' ');
+    if (b == std::string::npos) return Value::String("");
+    return Value::String(s.substr(b, s.find_last_not_of(' ') - b + 1));
   }
   if (f == "ABS") {
     if (arg_null(0)) return Value::Null();
     if (args[0].kind() == TypeKind::kDouble) return Value::Double(std::fabs(args[0].f64()));
-    if (args[0].kind() == TypeKind::kDecimal)
-      return Value::Decimal(SqlAbs(args[0].i64()), args[0].scale());
-    return Value::Bigint(SqlAbs(args[0].i64()));
+    // INT64_MIN wraps to itself; a DECIMAL keeps its scale.
+    const int64_t v = args[0].i64() < 0 ? WrapSub(0, args[0].i64()) : args[0].i64();
+    if (args[0].kind() == TypeKind::kDecimal) return Value::Decimal(v, args[0].scale());
+    return Value::Bigint(v);
   }
   if (f == "ROUND") {
     if (arg_null(0)) return Value::Null();
@@ -292,7 +251,8 @@ Result<Value> ApplyFunction(const std::string& f, const std::vector<Value>& args
     return Value::Double(static_cast<double>(state >> 11) / 9007199254740992.0);
   }
   if (f == "CURRENT_DATE") return Value::Date(20000);  // fixed epoch for tests
-  return Value::Timestamp(20000LL * kMicrosPerDay);   // CURRENT_TIMESTAMP
+  if (f == "CURRENT_TIMESTAMP") return Value::Timestamp(20000LL * kMicrosPerDay);
+  return Status::ExecError("unknown function in evaluator: " + f);
 }
 
 namespace {

@@ -22,13 +22,9 @@ Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row);
 
 /// The built-in scalar function `name` (upper-cased, as bound) applied to its
 /// evaluated arguments. The one definition of function semantics: EvalExpr
-/// calls it per row, and the vectorized interpreter calls it per row of the
-/// argument columns for functions without a typed kernel.
+/// calls it per row, and the vectorized interpreter per row of the argument
+/// columns. The binder has checked the name and the argument count.
 Result<Value> ApplyFunction(const std::string& name, const std::vector<Value>& args);
-
-/// OK when `name` is a built-in ApplyFunction accepts with `nargs`
-/// arguments; otherwise the error every call of it returns.
-Status CheckFunctionCall(const std::string& name, size_t nargs);
 
 /// `v` as a ColumnVector of type `t` stores it (AppendValue) and reads it
 /// back: DOUBLE via AsDouble, STRING via its text, DECIMAL rescaled,
@@ -36,24 +32,15 @@ Status CheckFunctionCall(const std::string& name, size_t nargs);
 /// `v` through unchanged.
 Value ConformToType(Value v, const DataType& t);
 
+/// The text string operators (LIKE, ||, the string functions) see for a
+/// non-NULL value: a STRING's bytes, anything else rendered as SQL.
+std::string TextOf(const Value& v);
+
 /// SQL LIKE with % and _ wildcards.
 bool SqlLike(const std::string& text, const std::string& pattern);
 
-/// SUBSTR(s, start, len): 1-based start (values below 1 start at 1), empty
-/// past the end, negative lengths read nothing.
-std::string SqlSubstr(const std::string& s, int64_t start, int64_t len);
-
-/// TRIM(s): strips leading and trailing spaces.
-std::string SqlTrim(const std::string& s);
-
-/// UPPER / LOWER of ASCII letters, in place.
-void SqlCaseMap(std::string* s, bool upper);
-
 /// a % d for d != 0, truncated toward zero; x % -1 is 0 for every x.
 inline int64_t SqlMod(int64_t a, int64_t d) { return d == -1 ? 0 : a % d; }
-
-/// ABS of an integer payload; INT64_MIN wraps to itself.
-inline int64_t SqlAbs(int64_t v) { return v < 0 ? WrapSub(0, v) : v; }
 
 /// Three-valued-logic helpers: SQL comparisons return NULL when either side
 /// is NULL; this evaluator models NULL as Value::Null() of boolean type.

@@ -478,6 +478,37 @@ TEST_F(ExecTest, DateAgainstBigintOrdersByKindLikeConstantFolding) {
   EXPECT_EQ((*count)[0][0].i64(), 3);
 }
 
+TEST_F(ExecTest, MixedTypeUnionAllTakesTheWiderType) {
+  // The branches are cast to a type both fit (here the right branch's
+  // DOUBLE), so operators above the union read one type per column: the 2.5
+  // is neither truncated to the left branch's BIGINT nor read as one.
+  const std::string u =
+      "(SELECT 1 AS x FROM item WHERE i_item_sk = 0 UNION ALL "
+      "SELECT 2.5 AS x FROM item WHERE i_item_sk = 0) u";
+  auto filtered = Run("SELECT x, CAST(x AS STRING) FROM " + u + " WHERE x > 2");
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  ASSERT_EQ(filtered->size(), 1u);
+  EXPECT_EQ((*filtered)[0][0].AsDouble(), 2.5);
+  EXPECT_EQ((*filtered)[0][1].str(), "2.5");
+  auto projected = Run("SELECT x, x > 2, x * 2 FROM " + u + " ORDER BY x DESC");
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  ASSERT_EQ(projected->size(), 2u);
+  EXPECT_EQ((*projected)[0][0].AsDouble(), 2.5);
+  EXPECT_TRUE((*projected)[0][1].bool_value());
+  EXPECT_EQ((*projected)[0][2].AsDouble(), 5.0);
+  EXPECT_EQ((*projected)[1][0].AsDouble(), 1.0);
+  EXPECT_FALSE((*projected)[1][1].bool_value());
+  for (const auto& row : *projected) EXPECT_EQ(row[0].kind(), TypeKind::kDouble);
+  // A join key and a GROUP BY key over the union see the same values.
+  auto grouped = Run("SELECT x, COUNT(*) FROM " + u + " GROUP BY x ORDER BY x");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  ASSERT_EQ(grouped->size(), 2u);
+  EXPECT_EQ((*grouped)[1][0].AsDouble(), 2.5);
+  auto joined = Run("SELECT COUNT(*) FROM " + u + " JOIN item ON x = i_item_sk");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ((*joined)[0][0].i64(), 1);  // only 1 matches an item key
+}
+
 TEST_F(ExecTest, LikePredicate) {
   auto rows = Run("SELECT COUNT(*) FROM item WHERE i_category LIKE 'S%'");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();

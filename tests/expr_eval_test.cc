@@ -377,15 +377,18 @@ RowBatch MakeKindBatch() {
 /// Binds `sql` as the binder does a select-list item over the batch schema.
 /// IF is a keyword to the parser, so an IF call is written as COALESCE and
 /// renamed to `rename_call` before binding.
-ExprPtr Bind(const std::string& sql, const Schema& schema, const std::string& rename_call = "") {
-  auto stmt = Parser::Parse("SELECT " + sql + " FROM t");
-  EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
-  if (!stmt.ok()) return nullptr;
-  ExprPtr e = dynamic_cast<SelectStatement*>(stmt->get())->select.body->core.items[0].expr;
+Result<ExprPtr> TryBind(const std::string& sql, const Schema& schema,
+                        const std::string& rename_call = "") {
+  HIVE_ASSIGN_OR_RETURN(StatementPtr stmt, Parser::Parse("SELECT " + sql + " FROM t"));
+  ExprPtr e = dynamic_cast<SelectStatement*>(stmt.get())->select.body->core.items[0].expr;
   if (!rename_call.empty()) e->func_name = rename_call;
   Config config;
   Binder binder(nullptr, &config);
-  auto bound = binder.BindScalar(e, schema, "t");
+  return binder.BindScalar(e, schema, "t");
+}
+
+ExprPtr Bind(const std::string& sql, const Schema& schema, const std::string& rename_call = "") {
+  auto bound = TryBind(sql, schema, rename_call);
   EXPECT_TRUE(bound.ok()) << sql << ": " << bound.status().ToString();
   return bound.ok() ? *bound : nullptr;
 }
@@ -568,17 +571,29 @@ TEST(VectorParityTest, FallibleCastsRunOnlyWhereEvalExprReachesThem) {
         "s2 <> 'nope' AND CAST(s2 AS DATE) > DATE '2000-01-01'",
         "s2 = 'nope' OR CAST(s2 AS TIMESTAMP) IS NULL",
         "FALSE AND CAST(s1 AS DATE) IS NULL",
-        "s2 IN ('nope', CAST(CAST(s2 AS DATE) AS STRING))",
-        "CASE WHEN FALSE THEN UPPER() END"})
+        "s2 IN ('nope', CAST(CAST(s2 AS DATE) AS STRING))"})
     CheckParityAndOutcome(sql, batch, true);
   // Fail: some reached row casts "nope".
   for (std::string sql :
        {"TRUE AND CAST(s2 AS DATE) IS NULL",
         "CASE WHEN s2 <> 'nope' THEN NULL ELSE CAST(s2 AS DATE) END",
         "s2 IN ('x', CAST(CAST(s2 AS DATE) AS STRING))",
-        "COALESCE(s2, CAST(s2 AS DATE))",
-        "CASE WHEN bo THEN UPPER() END"})
+        "COALESCE(s2, CAST(s2 AS DATE))"})
     CheckParityAndOutcome(sql, batch, false);
+}
+
+TEST(VectorParityTest, CallsWithTooFewArgumentsFailToBind) {
+  const Schema schema = MakeKindBatch().schema();
+  for (std::string sql : {"CASE WHEN FALSE THEN UPPER() END", "LENGTH()", "TRIM()", "ABS()",
+                          "SUBSTR(s1)", "ROUND()", "FLOOR()", "YEAR()", "EXTRACT_DAY()"}) {
+    auto bound = TryBind(sql, schema);
+    ASSERT_FALSE(bound.ok()) << sql;
+    EXPECT_NE(bound.status().ToString().find("needs at least"), std::string::npos)
+        << bound.status().ToString();
+  }
+  EXPECT_FALSE(TryBind("COALESCE(bo)", schema, "IF").ok());
+  EXPECT_TRUE(TryBind("COALESCE(bo, i1)", schema, "IF").ok());
+  EXPECT_TRUE(TryBind("CONCAT()", schema).ok());
 }
 
 TEST(VectorParityTest, CaseAndIfTakeTheirResultTypeFromTheirBranches) {
