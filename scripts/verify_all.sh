@@ -16,6 +16,9 @@
 #   7. concurrency bench    — many-session admission-control smoke; fails
 #                             unless every submitted query is accounted for
 #                             (BENCH_concurrency.json must report "lost": 0)
+#   8. benchmark smoke      — builds the repository benchmark into the
+#                             git-ignored .bench_build/ and runs its own
+#                             test (python3 hivebench/run.py --smoke)
 #
 # (Under a Clang toolchain, step 1's build also runs the -Wthread-safety
 # static analysis against the annotations in common/sync.h.)
@@ -25,32 +28,35 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==== [1/7] lint (hivelint self-test + src/) ===="
+echo "==== [1/8] lint (hivelint self-test + src/) ===="
 scripts/run_lint.sh
 
-echo "==== [2/7] build + ctest ===="
+echo "==== [2/8] build + ctest ===="
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "==== [3/7] ThreadSanitizer ===="
+echo "==== [3/8] ThreadSanitizer ===="
 scripts/run_tsan.sh
 
-echo "==== [4/7] ASan + UBSan ===="
+echo "==== [4/8] ASan + UBSan ===="
 scripts/run_asan_ubsan.sh
 
-echo "==== [5/7] spill matrix ===="
+echo "==== [5/8] spill matrix ===="
 scripts/run_spill_matrix.sh
 
-echo "==== [6/7] join + spill benches ===="
+echo "==== [6/8] join + spill benches ===="
 build/bench/bench_join
 test -s BENCH_join.json
 build/bench/bench_spill
 test -s BENCH_spill.json
 
-echo "==== [7/7] concurrency bench (no lost queries) ===="
+echo "==== [7/8] concurrency bench (no lost queries) ===="
 build/bench/bench_concurrency --smoke
 test -s BENCH_concurrency.json
 grep -q '"lost": 0' BENCH_concurrency.json
+
+echo "==== [8/8] benchmark smoke ===="
+python3 hivebench/run.py --smoke
 
 echo "==== verify_all: all rungs passed ===="

@@ -328,18 +328,8 @@ Result<RowBatch> ScanOperator::ReadMorsel(size_t index, bool* skipped) {
                           state.acid->ReadFileRowGroup(reader, m.row_group));
     return PostProcess(std::move(raw), loc);
   }
-  Schema raw_schema;
-  for (size_t c : data_columns_)
-    raw_schema.AddField(reader->schema().field(c).name,
-                        reader->schema().field(c).type);
-  RowBatch raw(raw_schema);
-  for (size_t i = 0; i < data_columns_.size(); ++i) {
-    HIVE_ASSIGN_OR_RETURN(
-        ColumnVectorPtr col,
-        ctx_->chunks->ReadChunk(reader, m.row_group, data_columns_[i]));
-    raw.SetColumn(i, std::move(col));
-  }
-  raw.set_num_rows(reader->row_group(m.row_group).num_rows);
+  HIVE_ASSIGN_OR_RETURN(RowBatch raw,
+                        ctx_->chunks->ReadChunks(reader, m.row_group, data_columns_));
   return PostProcess(std::move(raw), loc);
 }
 

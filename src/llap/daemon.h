@@ -63,9 +63,13 @@ class LlapDaemon {
   }
 
   /// Asynchronously fetches and decodes a column chunk through the cache
-  /// (the I/O elevator path).
+  /// (the I/O elevator path). A chunk the cache already holds needs no
+  /// read-ahead: the call returns an empty future (`valid()` false) at once,
+  /// with no elevator task, fingerprint or recency touch. A missing or
+  /// in-flight chunk goes through the cache's single-flight ReadChunk.
   std::future<Result<ColumnVectorPtr>> PrefetchChunk(
       std::shared_ptr<CofReader> reader, size_t row_group, size_t column) {
+    if (cache_.IsResident(*reader, row_group, column)) return {};
     auto promise = std::make_shared<std::promise<Result<ColumnVectorPtr>>>();
     auto future = promise->get_future();
     prefetches_issued_.fetch_add(1, std::memory_order_relaxed);

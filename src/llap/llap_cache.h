@@ -45,6 +45,14 @@ class LlapCacheProvider : public ChunkProvider {
   Result<ColumnVectorPtr> ReadChunk(const std::shared_ptr<CofReader>& reader,
                                     size_t row_group, size_t column) override;
 
+  /// True when the cache holds the chunk. Validates nothing and touches
+  /// neither LRFU recency nor the hit/miss counters: a read-ahead asks, and
+  /// the ReadChunk that later consumes the chunk validates it.
+  bool IsResident(const CofReader& reader, size_t row_group, size_t column) const {
+    return data_cache_.Contains({reader.file_id(), static_cast<uint32_t>(row_group),
+                                 static_cast<uint32_t>(column)});
+  }
+
   /// Drops every cache entry (tests / daemon restart) and forgets poison
   /// history: a restarted daemon re-admits degraded files.
   void Clear();

@@ -101,14 +101,15 @@ ValidWriteIdList TransactionManager::GetValidWriteIds(const std::string& table,
     }
   }
   // Exceptions: write ids at or below the hwm whose txn the snapshot does
-  // not see (open or aborted at snapshot time, or started later). Ids whose
-  // transaction is STILL open now are flagged separately so the compactor
-  // never spans them.
+  // not see (open or aborted at snapshot time, or started later). Every one
+  // not aborted by now is flagged so the compactor never spans it: a txn
+  // that was open at snapshot time may have committed since (the snapshot
+  // and this call take the lock separately), and its rows must survive.
   for (const auto& [txn_id, wid] : it->second) {
     if (wid <= out.high_watermark && !snapshot.Sees(txn_id)) {
       out.exceptions.insert(wid);
       auto txn = txns_.find(txn_id);
-      if (txn != txns_.end() && txn->second.state == TxnState::kOpen)
+      if (txn == txns_.end() || txn->second.state != TxnState::kAborted)
         out.open_writes.insert(wid);
     }
   }

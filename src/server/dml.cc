@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
+#include <set>
 
 #include "optimizer/expr_eval.h"
 
@@ -497,7 +497,7 @@ Result<QueryResult> DmlDriver::Merge(const MergeStatement& stmt) {
 
   Schema full = desc.FullSchema();
   // Record ids are unique within one partition directory.
-  std::map<std::string, std::unordered_set<RecordId, RecordIdHash>> matched;
+  std::map<std::string, std::set<RecordId>> matched;
   return ReadAndWrite(
       desc, MakeSelect(std::move(items), join, nullptr),
       [&](const std::vector<Value>& row, TableWriter* writer) -> Result<int64_t> {

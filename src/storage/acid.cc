@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/hash.h"
-
 namespace hive {
 
 std::string ValidWriteIdList::ToString() const {
@@ -74,13 +72,6 @@ Schema DeleteFileSchema() {
   return out;
 }
 }  // namespace
-
-size_t RecordIdHash::operator()(const RecordId& r) const {
-  uint64_t h = static_cast<uint64_t>(r.write_id);
-  h = HashCombine(h, static_cast<uint64_t>(r.bucket));
-  h = HashCombine(h, static_cast<uint64_t>(r.row_id));
-  return static_cast<size_t>(h);
-}
 
 AcidWriter::AcidWriter(FileSystem* fs, std::string dir, Schema user_schema,
                        int64_t write_id, CofWriteOptions options)
@@ -214,22 +205,24 @@ Status AcidReader::LoadDeleteDeltas(const std::vector<AcidDirInfo>& delete_dirs)
       HIVE_ASSIGN_OR_RETURN(std::shared_ptr<CofReader> reader,
                             provider_->OpenReader(f.path));
       for (size_t rg = 0; rg < reader->num_row_groups(); ++rg) {
-        ColumnVectorPtr cols[4];
-        for (size_t c = 0; c < 4; ++c) {
-          HIVE_ASSIGN_OR_RETURN(cols[c], provider_->ReadChunk(reader, rg, c));
-        }
-        const auto& wid = cols[0]->i64_data();
-        const auto& bucket = cols[1]->i64_data();
-        const auto& rowid = cols[2]->i64_data();
-        const auto& deleter = cols[3]->i64_data();
+        HIVE_ASSIGN_OR_RETURN(RowBatch events,
+                              provider_->ReadChunks(reader, rg, {0, 1, 2, 3}));
+        const auto& wid = events.column(0)->i64_data();
+        const auto& bucket = events.column(1)->i64_data();
+        const auto& rowid = events.column(2)->i64_data();
+        const auto& deleter = events.column(3)->i64_data();
         for (size_t i = 0; i < wid.size(); ++i) {
           // A delete only applies when the deleting transaction is visible.
           if (!snapshot_.IsValid(deleter[i])) continue;
-          delete_set_.insert({wid[i], bucket[i], rowid[i]});
+          deleted_.push_back({wid[i], bucket[i], rowid[i]});
         }
       }
     }
   }
+  // Delete deltas are not in record-id order (MERGE writes them in join
+  // order), and one record can be deleted by several of them.
+  std::sort(deleted_.begin(), deleted_.end());
+  deleted_.erase(std::unique(deleted_.begin(), deleted_.end()), deleted_.end());
   return Status::OK();
 }
 
@@ -237,7 +230,7 @@ Status AcidReader::Open(const ValidWriteIdList& snapshot, const AcidScanOptions&
   snapshot_ = snapshot;
   options_ = options;
   data_files_.clear();  // a retried Open starts over
-  delete_set_.clear();
+  deleted_.clear();
   if (options_.columns.empty()) {
     for (size_t i = 0; i < user_schema_.num_fields(); ++i)
       options_.columns.push_back(i);
@@ -267,28 +260,36 @@ Result<RowBatch> AcidReader::ReadFileRowGroup(const std::shared_ptr<CofReader>& 
   physical.push_back(0);
   physical.push_back(1);
   physical.push_back(2);
-  Schema raw_schema;
-  for (size_t c : physical)
-    raw_schema.AddField(file->schema().field(c).name, file->schema().field(c).type);
-  RowBatch raw(raw_schema);
-  for (size_t i = 0; i < physical.size(); ++i) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
-                          provider_->ReadChunk(file, row_group, physical[i]));
-    raw.SetColumn(i, std::move(col));
-  }
-  raw.set_num_rows(file->row_group(row_group).num_rows);
+  HIVE_ASSIGN_OR_RETURN(RowBatch raw, provider_->ReadChunks(file, row_group, physical));
 
   size_t n_user = options_.columns.size();
   const auto& wid = raw.column(n_user)->i64_data();
   const auto& bucket = raw.column(n_user + 1)->i64_data();
   const auto& rowid = raw.column(n_user + 2)->i64_data();
+  // Rows merge with the delete events in record-id order. `next` is the
+  // first event not below the last row probed: the first row finds it with
+  // one binary search, later rows walk it forward. A row not above its
+  // predecessor searches the events before `next` instead, so the result
+  // never depends on the file's row order.
+  auto next = deleted_.end();
+  RecordId prev{INT64_MAX, INT64_MAX, INT64_MAX};
+  bool visible = false;
   std::vector<int32_t> selection;
   selection.reserve(raw.num_rows());
   for (size_t i = 0; i < raw.num_rows(); ++i) {
-    if (!snapshot_.IsValid(wid[i])) continue;
-    if (!delete_set_.empty() &&
-        delete_set_.count({wid[i], bucket[i], rowid[i]}) != 0)
-      continue;
+    // Rows of one write id come in runs; check its visibility once per run.
+    if (i == 0 || wid[i] != wid[i - 1]) visible = snapshot_.IsValid(wid[i]);
+    if (!visible) continue;
+    if (!deleted_.empty()) {
+      RecordId id{wid[i], bucket[i], rowid[i]};
+      if (prev < id) {
+        while (next != deleted_.end() && *next < id) ++next;
+      } else {
+        next = std::lower_bound(deleted_.begin(), next, id);
+      }
+      prev = id;
+      if (next != deleted_.end() && *next == id) continue;
+    }
     selection.push_back(static_cast<int32_t>(i));
   }
 
@@ -340,119 +341,75 @@ Compactor::Compactor(FileSystem* fs, std::string dir, Schema user_schema)
 
 namespace {
 
-/// Groups deltas into maximal runs whose combined [lo, hi] range never
-/// spans a snapshot exception. An open transaction inside the range could
-/// still commit its own delta later; if an already-compacted delta covered
-/// that write id, the late delta would look like a pre-compaction leftover
-/// and its data would be lost. Splitting at exceptions prevents that.
-std::vector<std::vector<AcidDirInfo>> SplitMergeRuns(
-    const std::vector<AcidDirInfo>& deltas, const ValidWriteIdList& snapshot) {
-  std::vector<std::vector<AcidDirInfo>> runs;
-  std::vector<AcidDirInfo> current;
-  int64_t current_hi = 0;
-  for (const AcidDirInfo& d : deltas) {
-    bool gap_has_open = false;
-    if (!current.empty()) {
-      auto it = snapshot.open_writes.lower_bound(current_hi + 1);
-      if (it != snapshot.open_writes.end() && *it < d.min_write_id)
-        gap_has_open = true;
+/// The snapshot a compaction folds into its output: `snapshot` capped below
+/// its lowest write id not known to be aborted. That transaction may still
+/// commit, and may still be writing its delta, so no base or merged delta
+/// may cover its id: the delta would look like a pre-compaction leftover
+/// and its rows would be lost. Every exception under the cap is aborted, so
+/// compaction drops its rows — how "major compaction deletes history".
+ValidWriteIdList CompactionSnapshot(const ValidWriteIdList& snapshot) {
+  ValidWriteIdList capped = snapshot;
+  if (!snapshot.open_writes.empty())
+    capped.high_watermark =
+        std::min(capped.high_watermark, *snapshot.open_writes.begin() - 1);
+  return capped;
+}
+
+/// Merges the directories in `deltas` at or below the cap of `capped` into
+/// one `dir_name(lo, hi)` directory under `dir`, keeping the rows whose
+/// write id (column `wid_col`: the inserting or the deleting transaction)
+/// the snapshot sees.
+Status MergeDeltas(FileSystem* fs, const std::string& dir,
+                   const std::vector<AcidDirInfo>& deltas,
+                   const ValidWriteIdList& capped, const Schema& schema,
+                   size_t wid_col, std::string (*dir_name)(int64_t, int64_t)) {
+  std::vector<AcidDirInfo> merged;
+  for (const AcidDirInfo& d : deltas)
+    if (d.max_write_id <= capped.high_watermark) merged.push_back(d);
+  if (merged.size() < 2) return Status::OK();
+  std::vector<size_t> all;
+  for (size_t c = 0; c < schema.num_fields(); ++c) all.push_back(c);
+  int64_t lo = merged.front().min_write_id;
+  int64_t hi = merged.front().max_write_id;
+  CofWriter writer(schema);
+  for (const AcidDirInfo& d : merged) {
+    lo = std::min(lo, d.min_write_id);
+    hi = std::max(hi, d.max_write_id);
+    HIVE_ASSIGN_OR_RETURN(std::vector<FileInfo> files, fs->ListDir(d.path));
+    for (const FileInfo& f : files) {
+      if (f.is_dir) continue;
+      HIVE_ASSIGN_OR_RETURN(auto reader, CofReader::Open(fs, f.path));
+      for (size_t rg = 0; rg < reader->num_row_groups(); ++rg) {
+        HIVE_ASSIGN_OR_RETURN(RowBatch batch, reader->ReadRowGroup(rg, all));
+        std::vector<int32_t> keep_rows;
+        const auto& wid = batch.column(wid_col)->i64_data();
+        for (size_t i = 0; i < batch.num_rows(); ++i)
+          if (capped.IsValid(wid[i])) keep_rows.push_back(static_cast<int32_t>(i));
+        if (keep_rows.size() != batch.num_rows())
+          batch.SetSelection(std::move(keep_rows));
+        writer.AppendBatch(batch);
+      }
     }
-    if (!current.empty() && gap_has_open) {
-      runs.push_back(std::move(current));
-      current.clear();
-    }
-    current_hi = std::max(current_hi, d.max_write_id);
-    current.push_back(d);
   }
-  if (!current.empty()) runs.push_back(std::move(current));
-  return runs;
+  HIVE_ASSIGN_OR_RETURN(std::string bytes, writer.Finish());
+  std::string out_dir = JoinPath(dir, dir_name(lo, hi));
+  HIVE_RETURN_IF_ERROR(fs->MakeDirs(out_dir));
+  return fs->WriteFile(JoinPath(out_dir, "file_0000"), bytes);
 }
 
 }  // namespace
 
 Status Compactor::RunMinor(const ValidWriteIdList& snapshot) {
-  HIVE_ASSIGN_OR_RETURN(AcidDirSelection sel, SelectAcidDirs(fs_, dir_, snapshot));
-  // Merge insert deltas, run by run.
-  for (const auto& run : SplitMergeRuns(sel.deltas, snapshot)) {
-    if (run.size() < 2) continue;
-    int64_t lo = run.front().min_write_id;
-    int64_t hi = run.front().max_write_id;
-    CofWriter writer(AcidFileSchema(user_schema_));
-    for (const AcidDirInfo& d : run) {
-      lo = std::min(lo, d.min_write_id);
-      hi = std::max(hi, d.max_write_id);
-      HIVE_ASSIGN_OR_RETURN(std::vector<FileInfo> files, fs_->ListDir(d.path));
-      for (const FileInfo& f : files) {
-        if (f.is_dir) continue;
-        HIVE_ASSIGN_OR_RETURN(auto reader, CofReader::Open(fs_, f.path));
-        std::vector<size_t> all;
-        for (size_t c = 0; c < reader->schema().num_fields(); ++c) all.push_back(c);
-        for (size_t rg = 0; rg < reader->num_row_groups(); ++rg) {
-          HIVE_ASSIGN_OR_RETURN(RowBatch batch, reader->ReadRowGroup(rg, all));
-          // Compaction deletes history: rows of aborted transactions are
-          // dropped here (their ids are snapshot exceptions).
-          std::vector<int32_t> keep_rows;
-          const auto& wid = batch.column(0)->i64_data();
-          for (size_t i = 0; i < batch.num_rows(); ++i)
-            if (snapshot.IsValid(wid[i]) ||
-                snapshot.open_writes.count(wid[i]) != 0)
-              keep_rows.push_back(static_cast<int32_t>(i));
-          if (keep_rows.size() != batch.num_rows())
-            batch.SetSelection(std::move(keep_rows));
-          writer.AppendBatch(batch);
-        }
-      }
-    }
-    HIVE_ASSIGN_OR_RETURN(std::string bytes, writer.Finish());
-    std::string out_dir = JoinPath(dir_, DeltaDirName(lo, hi));
-    HIVE_RETURN_IF_ERROR(fs_->MakeDirs(out_dir));
-    HIVE_RETURN_IF_ERROR(fs_->WriteFile(JoinPath(out_dir, "file_0000"), bytes));
-  }
-  // Merge delete deltas, same run structure.
-  for (const auto& run : SplitMergeRuns(sel.delete_deltas, snapshot)) {
-    if (run.size() < 2) continue;
-    int64_t lo = run.front().min_write_id;
-    int64_t hi = run.front().max_write_id;
-    CofWriter writer(DeleteFileSchema());
-    for (const AcidDirInfo& d : run) {
-      lo = std::min(lo, d.min_write_id);
-      hi = std::max(hi, d.max_write_id);
-      HIVE_ASSIGN_OR_RETURN(std::vector<FileInfo> files, fs_->ListDir(d.path));
-      for (const FileInfo& f : files) {
-        if (f.is_dir) continue;
-        HIVE_ASSIGN_OR_RETURN(auto reader, CofReader::Open(fs_, f.path));
-        for (size_t rg = 0; rg < reader->num_row_groups(); ++rg) {
-          HIVE_ASSIGN_OR_RETURN(RowBatch batch,
-                                reader->ReadRowGroup(rg, {0, 1, 2, 3}));
-          // Drop delete records whose deleting transaction aborted.
-          std::vector<int32_t> keep_rows;
-          const auto& deleter = batch.column(3)->i64_data();
-          for (size_t i = 0; i < batch.num_rows(); ++i)
-            if (snapshot.IsValid(deleter[i]) ||
-                snapshot.open_writes.count(deleter[i]) != 0)
-              keep_rows.push_back(static_cast<int32_t>(i));
-          if (keep_rows.size() != batch.num_rows())
-            batch.SetSelection(std::move(keep_rows));
-          writer.AppendBatch(batch);
-        }
-      }
-    }
-    HIVE_ASSIGN_OR_RETURN(std::string bytes, writer.Finish());
-    std::string out_dir = JoinPath(dir_, DeleteDeltaDirName(lo, hi));
-    HIVE_RETURN_IF_ERROR(fs_->MakeDirs(out_dir));
-    HIVE_RETURN_IF_ERROR(fs_->WriteFile(JoinPath(out_dir, "file_0000"), bytes));
-  }
-  return Status::OK();
+  ValidWriteIdList capped = CompactionSnapshot(snapshot);
+  HIVE_ASSIGN_OR_RETURN(AcidDirSelection sel, SelectAcidDirs(fs_, dir_, capped));
+  HIVE_RETURN_IF_ERROR(MergeDeltas(fs_, dir_, sel.deltas, capped,
+                                   AcidFileSchema(user_schema_), 0, DeltaDirName));
+  return MergeDeltas(fs_, dir_, sel.delete_deltas, capped, DeleteFileSchema(), 3,
+                     DeleteDeltaDirName);
 }
 
 Status Compactor::RunMajor(const ValidWriteIdList& snapshot) {
-  // Never compact past a still-open transaction: its delta would be
-  // orphaned once it commits. Aborted history below the cap is removed.
-  ValidWriteIdList capped = snapshot;
-  if (!snapshot.open_writes.empty())
-    capped.high_watermark =
-        std::min(capped.high_watermark, *snapshot.open_writes.begin() - 1);
-
+  ValidWriteIdList capped = CompactionSnapshot(snapshot);
   HIVE_ASSIGN_OR_RETURN(AcidDirSelection sel, SelectAcidDirs(fs_, dir_, capped));
   int64_t hwm = sel.base ? sel.base->max_write_id : 0;
   for (const AcidDirInfo& d : sel.deltas)

@@ -6,7 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <tuple>
 #include <vector>
 
 #include "common/column_vector.h"
@@ -25,11 +25,12 @@ struct ValidWriteIdList {
   int64_t high_watermark = 0;
   /// WriteIds <= high_watermark that are open or aborted.
   std::set<int64_t> exceptions;
-  /// The subset of `exceptions` whose transactions are still OPEN (may yet
-  /// commit). Readers treat both alike; the compactor must never produce a
-  /// base/delta whose range spans an open id (its data would be orphaned
-  /// when the transaction commits), while aborted ids are safe to compact
-  /// away — that is how "major compaction deletes history".
+  /// The subset of `exceptions` not known to be aborted: transactions still
+  /// open, or committed after the snapshot was taken. Readers treat both
+  /// alike; the compactor must never produce a base/delta whose range spans
+  /// one of these ids (its data would be orphaned when the transaction
+  /// commits), while only aborted ids are safe to compact away — that is
+  /// how "major compaction deletes history".
   std::set<int64_t> open_writes;
 
   bool IsValid(int64_t write_id) const {
@@ -77,7 +78,8 @@ inline constexpr const char* kAcidRecordIdCols[kNumAcidMetaCols] = {
 /// Prepends the three ACID metadata fields to a user schema.
 Schema AcidFileSchema(const Schema& user_schema);
 
-/// Unique record identity; hashable for delete-set membership.
+/// Unique record identity, ordered by (write id, bucket, row id): the order
+/// in which every writer and compactor emits rows.
 struct RecordId {
   int64_t write_id = 0;
   int64_t bucket = 0;
@@ -86,9 +88,9 @@ struct RecordId {
   bool operator==(const RecordId& o) const {
     return write_id == o.write_id && bucket == o.bucket && row_id == o.row_id;
   }
-};
-struct RecordIdHash {
-  size_t operator()(const RecordId& r) const;
+  bool operator<(const RecordId& o) const {
+    return std::tie(write_id, bucket, row_id) < std::tie(o.write_id, o.bucket, o.row_id);
+  }
 };
 
 /// Writes insert / delete deltas for one transaction's writes to a table or
@@ -134,8 +136,10 @@ struct AcidScanOptions {
 };
 
 /// Merge-on-read scanner over an ACID directory: selects the newest valid
-/// base, overlays valid insert deltas, and anti-joins the in-memory delete
-/// set built from valid delete deltas — the read path of Section 3.2.
+/// base, overlays valid insert deltas, and anti-joins the delete events of
+/// visible deleting transactions — the read path of Section 3.2. The events
+/// are one sorted array that each row group merges against in record-id
+/// order.
 class AcidReader {
  public:
   /// `provider` overrides how column chunks are fetched (the LLAP cache
@@ -161,9 +165,6 @@ class AcidReader {
 
   /// Data files selected by the snapshot (for LLAP-driven scans).
   const std::vector<std::string>& data_files() const { return data_files_; }
-  const std::unordered_set<RecordId, RecordIdHash>& delete_set() const {
-    return delete_set_;
-  }
   const SearchArgument& sarg() const { return options_.sarg; }
 
   /// Statistics: row groups skipped via sarg evaluation.
@@ -182,9 +183,9 @@ class AcidReader {
   ValidWriteIdList snapshot_;
 
   std::vector<std::string> data_files_;
-  /// Parallel to data_files_: the file's directory write-id range; rows in
-  /// multi-writeid (compacted) files carry their own embedded write ids.
-  std::unordered_set<RecordId, RecordIdHash> delete_set_;
+  /// Record ids deleted by transactions the snapshot sees, sorted and
+  /// de-duplicated.
+  std::vector<RecordId> deleted_;
 
   // Iteration state (NextBatch only; ReadFileRowGroup is stateless).
   size_t file_index_ = 0;

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/cof.h"
 
@@ -22,6 +23,30 @@ class ChunkProvider {
   /// Reads (or returns cached) one decoded column chunk.
   virtual Result<ColumnVectorPtr> ReadChunk(const std::shared_ptr<CofReader>& reader,
                                             size_t row_group, size_t column) = 0;
+
+  /// Reads the chunks of `columns` in one row group into a batch. Every
+  /// chunk is read even after one fails, and the first failure is returned,
+  /// so a retried attempt meets each chunk's next transient fault at once
+  /// instead of spending one attempt per faulty chunk.
+  Result<RowBatch> ReadChunks(const std::shared_ptr<CofReader>& reader, size_t row_group,
+                              const std::vector<size_t>& columns) {
+    Schema schema;
+    for (size_t c : columns)
+      schema.AddField(reader->schema().field(c).name, reader->schema().field(c).type);
+    RowBatch batch(schema);
+    Status first_error = Status::OK();
+    for (size_t i = 0; i < columns.size(); ++i) {
+      Result<ColumnVectorPtr> chunk = ReadChunk(reader, row_group, columns[i]);
+      if (chunk.ok()) {
+        batch.SetColumn(i, std::move(*chunk));
+      } else if (first_error.ok()) {
+        first_error = chunk.status();
+      }
+    }
+    HIVE_RETURN_IF_ERROR(first_error);
+    batch.set_num_rows(reader->row_group(row_group).num_rows);
+    return batch;
+  }
 };
 
 /// Pass-through provider: every call hits the file system.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "fs/mem_filesystem.h"
+#include "metastore/txn_manager.h"
 #include "storage/acid.h"
 
 namespace hive {
@@ -60,6 +61,90 @@ TEST(CompactionSafetyTest, MinorNeverSpansOpenWriteIds) {
   WriteOne(&fs, "/t", 2, 200);
   EXPECT_EQ(ScanSum(&fs, "/t", ValidWriteIdList::All(4)), 1000)
       << "late-committing delta must stay visible after compaction";
+}
+
+/// Regression: the open transaction holding the highest write id is above
+/// the snapshot's high watermark, so it is in no exception list. Minor
+/// compaction must still leave its delta alone.
+TEST(CompactionSafetyTest, MinorLeavesOpenWriteIdAboveHighWatermark) {
+  MemFileSystem fs;
+  // Committed: 1..5. Open: 6, whose delta is already on disk (a writer
+  // writes its files before its transaction commits).
+  for (int64_t wid = 1; wid <= 6; ++wid) WriteOne(&fs, "/t", wid, wid);
+  // What GetValidWriteIds derives here: hwm 5, no exceptions.
+  ValidWriteIdList snapshot = ValidWriteIdList::All(5);
+
+  Compactor compactor(&fs, "/t", OneCol());
+  ASSERT_TRUE(compactor.RunMinor(snapshot).ok());
+  ASSERT_TRUE(compactor.Clean(snapshot).ok());
+  EXPECT_TRUE(fs.Exists("/t/delta_1_5"));
+  EXPECT_TRUE(fs.Exists("/t/delta_6_6")) << "open transaction's delta survives";
+
+  // Transaction 6 commits now.
+  EXPECT_EQ(ScanSum(&fs, "/t", ValidWriteIdList::All(6)), 21);
+}
+
+/// Regression: a writer makes its delta directory before it writes the
+/// file. Minor compaction between the two must not merge the empty
+/// directory, or the file written afterwards reads as a pre-compaction
+/// leftover.
+TEST(CompactionSafetyTest, MinorLeavesEmptyDeltaOfOpenWriter) {
+  MemFileSystem fs;
+  // Committed: 1, 2, 3, 5. Open: 4, its directory made but not written.
+  for (int64_t wid : {1, 2, 3, 5}) WriteOne(&fs, "/t", wid, wid);
+  ASSERT_TRUE(fs.MakeDirs("/t/" + DeltaDirName(4, 4)).ok());
+  ValidWriteIdList snapshot;
+  snapshot.high_watermark = 5;
+  snapshot.exceptions = {4};
+  snapshot.open_writes = {4};
+
+  Compactor compactor(&fs, "/t", OneCol());
+  ASSERT_TRUE(compactor.RunMinor(snapshot).ok());
+  ASSERT_TRUE(compactor.Clean(snapshot).ok());
+  EXPECT_TRUE(fs.Exists("/t/delta_1_3"));
+  EXPECT_FALSE(fs.Exists("/t/delta_1_5")) << "nothing may cover open id 4";
+
+  // The writer finishes and transaction 4 commits.
+  WriteOne(&fs, "/t", 4, 4);
+  EXPECT_EQ(ScanSum(&fs, "/t", ValidWriteIdList::All(5)), 15);
+}
+
+/// Regression: a transaction that commits between the compactor's
+/// GetSnapshot and GetValidWriteIds is an exception of the snapshot but no
+/// longer open. It must still count as one the compactor may not span:
+/// only aborted write ids may be compacted away.
+TEST(CompactionSafetyTest, TransactionCommittingDuringSnapshotSurvives) {
+  MemFileSystem fs;
+  TransactionManager txns;
+  const std::string table = "db.t";
+  auto write = [&](int64_t txn, int64_t value) {
+    auto wid = txns.AllocateWriteId(txn, table);
+    ASSERT_TRUE(wid.ok());
+    WriteOne(&fs, "/t", *wid, value);
+  };
+  int64_t t1 = txns.OpenTxn();
+  write(t1, 1);
+  ASSERT_TRUE(txns.CommitTxn(t1).ok());
+  int64_t t2 = txns.OpenTxn();  // write id 2
+  write(t2, 2);
+  int64_t t3 = txns.OpenTxn();  // write id 3
+  write(t3, 3);
+  ASSERT_TRUE(txns.CommitTxn(t3).ok());
+
+  TxnSnapshot txn_snapshot = txns.GetSnapshot();  // t2 still open
+  ASSERT_TRUE(txns.CommitTxn(t2).ok());           // commits in between
+  ValidWriteIdList snapshot = txns.GetValidWriteIds(table, txn_snapshot);
+  EXPECT_EQ(snapshot.high_watermark, 3);
+  EXPECT_EQ(snapshot.exceptions, std::set<int64_t>{2});
+  EXPECT_EQ(snapshot.open_writes, std::set<int64_t>{2})
+      << "a committed exception is not known to be aborted";
+
+  Compactor compactor(&fs, "/t", OneCol());
+  ASSERT_TRUE(compactor.RunMinor(snapshot).ok());
+  ASSERT_TRUE(compactor.RunMajor(snapshot).ok());
+  ASSERT_TRUE(compactor.Clean(snapshot).ok());
+  ValidWriteIdList now = txns.GetValidWriteIds(table, txns.GetSnapshot());
+  EXPECT_EQ(ScanSum(&fs, "/t", now), 6) << "transaction 2's row was compacted away";
 }
 
 TEST(CompactionSafetyTest, MinorSpansAbortedWriteIds) {

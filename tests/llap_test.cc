@@ -209,6 +209,58 @@ TEST(LlapDaemonTest, IoElevatorPrefetchesAsync) {
   EXPECT_GT(daemon.cache()->data_hits(), hits);
 }
 
+TEST(LlapDaemonTest, ReadAheadOfResidentChunkIssuesNoElevatorTask) {
+  MemFileSystem fs;
+  LlapDaemon daemon(&fs, Config{});
+  LlapCacheProvider* cache = daemon.cache();
+  WriteCofFile(&fs, "/t/f0", 50, "x");
+  auto reader = cache->OpenReader("/t/f0");
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(cache->ReadChunk(*reader, 0, 0).ok());
+
+  const int64_t issued = daemon.prefetches_issued();
+  const uint64_t decodes = cache->data_decodes();
+  const uint64_t hits = cache->data_hits();
+  const uint64_t misses = cache->data_misses();
+  EXPECT_FALSE(daemon.PrefetchChunk(*reader, 0, 0).valid())
+      << "a resident chunk needs no read-ahead";
+  EXPECT_EQ(daemon.prefetches_issued(), issued);
+  EXPECT_EQ(cache->data_decodes(), decodes);
+  EXPECT_EQ(cache->data_hits(), hits);
+  EXPECT_EQ(cache->data_misses(), misses);
+
+  // A missing chunk still rides the elevator.
+  auto missing = daemon.PrefetchChunk(*reader, 0, 1);
+  ASSERT_TRUE(missing.valid());
+  ASSERT_TRUE(missing.get().ok());
+  EXPECT_EQ(daemon.prefetches_issued(), issued + 1);
+  EXPECT_EQ(cache->data_decodes(), decodes + 1);
+}
+
+TEST(LlapDaemonTest, ChunkPoisonedWhileResidentIsCaughtByItsConsumer) {
+  MemFileSystem fs;
+  LlapDaemon daemon(&fs, Config{});
+  LlapCacheProvider* cache = daemon.cache();
+  WriteCofFile(&fs, "/t/f0", 50, "x");
+  auto reader = cache->OpenReader("/t/f0");
+  ASSERT_TRUE(reader.ok());
+  auto first = cache->ReadChunk(*reader, 0, 0);
+  ASSERT_TRUE(first.ok());
+  const std::vector<int64_t> clean = (*first)->i64_data();
+  ASSERT_EQ(cache->PoisonChunks(1), 1u);
+  const uint64_t decodes = cache->data_decodes();
+
+  // The read-ahead skips the resident chunk without validating it ...
+  EXPECT_FALSE(daemon.PrefetchChunk(*reader, 0, 0).valid());
+  EXPECT_EQ(cache->poison_detected(), 0u);
+  // ... and the read that consumes it catches the poisoning and re-decodes.
+  auto consumed = cache->ReadChunk(*reader, 0, 0);
+  ASSERT_TRUE(consumed.ok());
+  EXPECT_EQ(cache->poison_detected(), 1u);
+  EXPECT_EQ(cache->data_decodes(), decodes + 1);
+  EXPECT_EQ((*consumed)->i64_data(), clean);
+}
+
 TEST(LlapCacheTest, ColdChunkDecodesOnceUnderConcurrency) {
   // Single-flight: N threads racing on one cold chunk must produce exactly
   // one decode and one recorded miss; everyone else scores a hit. This is

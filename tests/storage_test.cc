@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "fs/mem_filesystem.h"
 #include "storage/acid.h"
 #include "storage/cof.h"
@@ -405,6 +410,184 @@ TEST(AcidTest, EmptyDirectoryScansZeroRows) {
   MemFileSystem fs;
   Schema schema = SalesSchema();
   EXPECT_EQ(ScanCount(&fs, "/w/missing", schema, ValidWriteIdList::All(1)), 0);
+}
+
+/// One ACID row as (write id, bucket, row id, v).
+using AcidRow = std::array<int64_t, 4>;
+
+Schema ValueSchema() {
+  Schema s;
+  s.AddField("v", DataType::Bigint());
+  return s;
+}
+
+std::vector<std::string> DirFiles(FileSystem* fs, const AcidDirInfo& dir) {
+  std::vector<std::string> out;
+  auto files = fs->ListDir(dir.path);
+  EXPECT_TRUE(files.ok());
+  if (files.ok())
+    for (const FileInfo& f : *files)
+      if (!f.is_dir) out.push_back(f.path);
+  return out;
+}
+
+/// Calls `fn(row group batch)` for every row group of every file in `dir`,
+/// reading its first `columns` columns straight from the file.
+template <typename Fn>
+void ForEachRowGroup(FileSystem* fs, const AcidDirInfo& dir, size_t columns, Fn fn) {
+  std::vector<size_t> all;
+  for (size_t c = 0; c < columns; ++c) all.push_back(c);
+  for (const std::string& path : DirFiles(fs, dir)) {
+    auto reader = CofReader::Open(fs, path);
+    ASSERT_TRUE(reader.ok());
+    for (size_t rg = 0; rg < (*reader)->num_row_groups(); ++rg) {
+      auto batch = (*reader)->ReadRowGroup(rg, all);
+      ASSERT_TRUE(batch.ok());
+      fn(*batch);
+    }
+  }
+}
+
+/// The rows `snapshot` sees, in file order: every visible row of the
+/// selected base and deltas, anti-joined with a std::set of the record ids
+/// whose deleting transaction is visible.
+std::vector<AcidRow> ReferenceRows(FileSystem* fs, const std::string& dir,
+                                   const ValidWriteIdList& snapshot) {
+  auto sel = SelectAcidDirs(fs, dir, snapshot);
+  EXPECT_TRUE(sel.ok());
+  if (!sel.ok()) return {};
+  std::set<std::tuple<int64_t, int64_t, int64_t>> deleted;
+  for (const AcidDirInfo& d : sel->delete_deltas)
+    ForEachRowGroup(fs, d, 4, [&](const RowBatch& b) {
+      for (size_t i = 0; i < b.num_rows(); ++i)
+        if (snapshot.IsValid(b.column(3)->i64_data()[i]))
+          deleted.insert({b.column(0)->i64_data()[i], b.column(1)->i64_data()[i],
+                          b.column(2)->i64_data()[i]});
+    });
+  std::vector<AcidDirInfo> data;
+  if (sel->base) data.push_back(*sel->base);
+  data.insert(data.end(), sel->deltas.begin(), sel->deltas.end());
+  std::vector<AcidRow> rows;
+  for (const AcidDirInfo& d : data)
+    ForEachRowGroup(fs, d, 4, [&](const RowBatch& b) {
+      for (size_t i = 0; i < b.num_rows(); ++i) {
+        AcidRow row{b.column(0)->i64_data()[i], b.column(1)->i64_data()[i],
+                    b.column(2)->i64_data()[i], b.column(3)->i64_data()[i]};
+        if (snapshot.IsValid(row[0]) && !deleted.count({row[0], row[1], row[2]}))
+          rows.push_back(row);
+      }
+    });
+  return rows;
+}
+
+std::vector<AcidRow> ReaderRows(FileSystem* fs, const std::string& dir,
+                                const ValidWriteIdList& snapshot) {
+  AcidReader reader(fs, dir, ValueSchema());
+  AcidScanOptions options;
+  options.include_row_ids = true;
+  EXPECT_TRUE(reader.Open(snapshot, options).ok());
+  std::vector<AcidRow> rows;
+  bool done = false;
+  for (;;) {
+    auto batch = reader.NextBatch(&done);
+    EXPECT_TRUE(batch.ok());
+    if (!batch.ok() || done) break;
+    for (size_t i = 0; i < batch->SelectedSize(); ++i) {
+      std::vector<Value> row = batch->GetRow(i);
+      rows.push_back({row[1].i64(), row[2].i64(), row[3].i64(), row[0].i64()});
+    }
+  }
+  return rows;
+}
+
+/// Merge-on-read must equal a plain set anti-join on every input: delete
+/// deltas out of record-id order (as MERGE writes them), one record deleted
+/// twice, deletes by open and aborted deleters, events on row-group
+/// boundaries, and a data file whose rows are out of record-id order.
+TEST(AcidTest, DeleteMergeMatchesSetAntiJoin) {
+  MemFileSystem fs;
+  const std::string dir = "/w/t";
+  Schema schema = ValueSchema();
+  CofWriteOptions small;
+  small.row_group_size = 16;
+  int64_t next_v = 0;
+  auto insert = [&](int64_t wid, int rows, CofWriteOptions options) {
+    AcidWriter writer(&fs, dir, schema, wid, options);
+    for (int i = 0; i < rows; ++i) writer.Insert({Value::Bigint(next_v++)});
+    ASSERT_TRUE(writer.Commit().ok());
+  };
+  auto erase = [&](int64_t wid, const std::vector<RecordId>& ids) {
+    AcidWriter writer(&fs, dir, schema, wid, small);
+    for (const RecordId& id : ids) writer.Delete(id);
+    ASSERT_TRUE(writer.Commit().ok());
+  };
+
+  // base_2 holds write ids 1 and 2 in two row groups (4096 + 504 rows).
+  insert(1, 4500, {});
+  insert(2, 100, {});
+  Compactor compactor(&fs, dir, schema);
+  ASSERT_TRUE(compactor.RunMajor(ValidWriteIdList::All(2)).ok());
+  ASSERT_TRUE(compactor.Clean(ValidWriteIdList::All(2)).ok());
+  ASSERT_TRUE(fs.Exists(dir + "/base_2"));
+  // Insert deltas 3..5, 16 rows a row group.
+  for (int64_t wid = 3; wid <= 5; ++wid) insert(wid, 50, small);
+  // Delete deltas in no particular record-id order, including both sides
+  // of base_2's row-group boundary; 6 and 7 both delete (4, 0, 7).
+  erase(6, {{1, 0, 4000}, {4, 0, 7}, {2, 0, 3}, {1, 0, 17}, {3, 0, 49},
+            {5, 0, 16}, {1, 0, 4096}, {1, 0, 4095}, {5, 0, 15}, {9, 0, 1}});
+  erase(7, {{4, 0, 7}, {3, 0, 0}, {1, 0, 0}, {2, 0, 99}});
+  erase(8, {{3, 0, 1}, {2, 0, 98}, {4, 0, 7}});  // open deleter
+  erase(9, {{3, 0, 2}, {1, 0, 1}});              // aborted deleter
+  // delta_10_10 written directly, rows out of record-id order across two
+  // buckets, four rows a row group.
+  {
+    const std::vector<std::pair<int64_t, int64_t>> ids = {
+        {1, 5}, {0, 3}, {0, 9}, {1, 0}, {0, 0}, {0, 4}, {1, 2}, {0, 1},
+        {1, 1}, {0, 2}, {0, 8}, {0, 5}, {1, 4}, {1, 3}, {0, 7}, {0, 6}};
+    CofWriteOptions tiny;
+    tiny.row_group_size = 4;
+    CofWriter writer(AcidFileSchema(schema), tiny);
+    for (const auto& [bucket, row_id] : ids)
+      writer.AppendRow({Value::Bigint(10), Value::Bigint(bucket), Value::Bigint(row_id),
+                        Value::Bigint(next_v++)});
+    auto bytes = writer.Finish();
+    ASSERT_TRUE(bytes.ok());
+    ASSERT_TRUE(fs.MakeDirs(dir + "/" + DeltaDirName(10, 10)).ok());
+    ASSERT_TRUE(fs.WriteFile(dir + "/" + DeltaDirName(10, 10) + "/file_0000", *bytes).ok());
+  }
+  erase(11, {{10, 1, 5}, {10, 0, 0}, {10, 0, 9}, {10, 1, 0}, {10, 0, 2},
+             {10, 1, 3}, {10, 0, 6}, {5, 0, 49}});
+  // Scattered deletes over every data file, in random order.
+  {
+    std::mt19937 rng(17);
+    const std::vector<std::pair<int64_t, int64_t>> files = {
+        {1, 4500}, {2, 100}, {3, 50}, {4, 50}, {5, 50}};
+    std::vector<RecordId> ids;
+    for (int i = 0; i < 200; ++i) {
+      const auto& [wid, rows] = files[rng() % files.size()];
+      ids.push_back({wid, 0, static_cast<int64_t>(rng() % rows)});
+    }
+    ids.push_back({10, static_cast<int64_t>(rng() % 2), static_cast<int64_t>(rng() % 10)});
+    erase(12, ids);
+  }
+
+  const std::vector<ValidWriteIdList> snapshots = {
+      {12, {8, 9}, {8}},   // now: 8 open, 9 aborted
+      {12, {9}, {}},       // after 8 commits
+      ValidWriteIdList::All(12),
+      {12, {6, 9}, {}},    // (4, 0, 7) still deleted by 7
+      {12, {7, 8, 9}, {}},  // ... and by 6
+      {10, {8, 9}, {8}},   // sees delta_10_10 but none of its deletes
+      {5, {}, {}},         // before any delete
+      {2, {}, {}},         // base only
+  };
+  for (const ValidWriteIdList& snapshot : snapshots)
+    EXPECT_EQ(ReaderRows(&fs, dir, snapshot), ReferenceRows(&fs, dir, snapshot))
+        << snapshot.ToString();
+  // The deletes do remove rows, so the comparison is not vacuous: 4,750
+  // rows up to write id 5, 16 more in delta_10_10.
+  EXPECT_EQ(ReferenceRows(&fs, dir, {5, {}, {}}).size(), 4750u);
+  EXPECT_LT(ReferenceRows(&fs, dir, snapshots[0]).size(), 4750u + 16u - 150u);
 }
 
 }  // namespace
