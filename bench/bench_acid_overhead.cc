@@ -5,6 +5,7 @@
 // and deletes (the merge-on-read worst case the first design suffered on).
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -164,4 +165,21 @@ BENCHMARK(BM_AcidPointLookup)->Unit(benchmark::kMicrosecond);
 }  // namespace
 }  // namespace hive
 
-BENCHMARK_MAIN();
+// glibc moves its mmap and trim thresholds as the shared set-up allocates and
+// frees, so each scan would run on a heap shaped by whatever ran before it:
+// BM_ScanNonAcid moved by a fifth between builds that did not touch its
+// code. Pinning both thresholds first, as
+// GLIBC_TUNABLES=glibc.malloc.mmap_threshold=...:glibc.malloc.trim_threshold=...
+// does, keeps the allocator's behaviour the same from run to run.
+int main(int argc, char** argv) {
+  // 32 MiB is the largest mmap threshold glibc accepts on 64-bit hosts.
+  if (mallopt(M_MMAP_THRESHOLD, 32 << 20) != 1 || mallopt(M_TRIM_THRESHOLD, 1 << 30) != 1) {
+    std::fprintf(stderr, "mallopt refused the pinned thresholds\n");
+    return 1;
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,15 +1,17 @@
 // Morsel-driven scan scaling: one scan-heavy aggregate over the partitioned
 // TPC-DS fact table, executed at 1/2/4/8 executors with cold and warm LLAP
 // cache. The morsel queue splits the scan into (location, file, row_group)
-// units claimed by executor threads; timings follow the repo convention of
-// wall time plus modeled virtual time (scan CPU is charged per executor
-// critical path, see Config::scan_cpu_ns_per_row), so the speedup reflects
-// a host with num_executors cores even when this one serializes the
-// threads. Results must stay identical at every executor count.
+// units claimed by executor threads. Each sample reports measured wall time
+// and modeled virtual time apart (scan CPU is charged per executor critical
+// path, see Config::scan_cpu_ns_per_row), plus their sum: the wall speedup
+// is what this host delivers, the summed one what a host with
+// num_executors cores would. Results must stay identical at every executor
+// count.
 //
 // Emits BENCH_parallel_scan.json with the timing trajectory.
 
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,11 +38,10 @@ std::string RowsKey(const QueryResult& result) {
   return key;
 }
 
-double RunMs(Connection& session, QueryResult* out) {
+Timing Run(Connection& session) {
   Timing t = RunTimed(session, kQuery);
   if (!t.ok) std::exit(1);
-  *out = std::move(t.result);
-  return t.millis;
+  return t;
 }
 
 }  // namespace
@@ -61,53 +62,55 @@ int main() {
 
   struct Sample {
     int executors;
-    double cold_ms;
-    double warm_ms;
+    Timing cold;
+    Timing warm;  // the best of three warm runs
     size_t rows;
   };
   std::vector<Sample> samples;
   std::string baseline_key;
 
+  const unsigned cores = std::thread::hardware_concurrency();
   PrintHeader("Morsel-driven parallel scan scaling (warm = LLAP cache hot)");
-  std::printf("%-10s %12s %12s %10s\n", "executors", "cold (ms)", "warm (ms)",
-              "speedup");
+  std::printf("host hardware_concurrency: %u; times in ms; modeled = virtual "
+              "clock (scan CPU model)\n",
+              cores);
+  std::printf("%-10s %10s %10s %9s %14s %9s\n", "executors", "cold wall", "warm wall",
+              "speedup", "wall+modeled", "speedup");
 
-  double warm_at_1 = 0;
   for (int executors : {1, 2, 4, 8}) {
     Connection session = server.Connect();
     session.config().result_cache_enabled = false;
     session.config().num_executors = executors;
 
     server.llap()->cache()->Clear();
-    QueryResult cold_result;
-    double cold_ms = RunMs(session, &cold_result);
+    Timing cold = Run(session);
 
     // Warm: best of three with the cache populated.
-    double warm_ms = 0;
-    QueryResult warm_result;
+    Timing warm;
     for (int rep = 0; rep < 3; ++rep) {
-      QueryResult r;
-      double ms = RunMs(session, &r);
-      if (rep == 0 || ms < warm_ms) warm_ms = ms;
-      warm_result = std::move(r);
+      Timing t = Run(session);
+      if (rep == 0 || t.millis < warm.millis) warm = std::move(t);
     }
 
-    std::string key = RowsKey(warm_result);
-    if (RowsKey(cold_result) != key) {
+    std::string key = RowsKey(warm.result);
+    if (RowsKey(cold.result) != key) {
       std::fprintf(stderr, "cold/warm results differ at %d executors\n", executors);
       return 1;
     }
     if (baseline_key.empty()) {
       baseline_key = key;
-      warm_at_1 = warm_ms;
     } else if (key != baseline_key) {
       std::fprintf(stderr, "results differ at %d executors\n", executors);
       return 1;
     }
 
-    samples.push_back({executors, cold_ms, warm_ms, warm_result.rows.size()});
-    std::printf("%-10d %12.2f %12.2f %9.2fx\n", executors, cold_ms, warm_ms,
-                warm_at_1 / std::max(warm_ms, 0.001));
+    const size_t rows = warm.result.rows.size();
+    samples.push_back({executors, std::move(cold), std::move(warm), rows});
+    const Sample& s = samples.back();
+    const Sample& base = samples.front();
+    std::printf("%-10d %10.2f %10.2f %8.2fx %14.2f %8.2fx\n", executors, s.cold.wall_ms,
+                s.warm.wall_ms, base.warm.wall_ms / std::max(s.warm.wall_ms, 0.001),
+                s.warm.millis, base.warm.millis / std::max(s.warm.millis, 0.001));
   }
 
   std::printf("\nresults identical across executor counts: yes\n");
@@ -120,12 +123,22 @@ int main() {
 
   std::ofstream json("BENCH_parallel_scan.json");
   json << "{\n  \"benchmark\": \"parallel_scan\",\n  \"query\": \"tpcds store_sales "
-          "group-by aggregate\",\n  \"samples\": [\n";
+          "group-by aggregate\",\n  \"hardware_concurrency\": "
+       << cores << ",\n  \"warm_runs\": 3,\n  \"samples\": [\n";
+  // *_ms is the modeled total (wall + virtual); speedups are relative to
+  // one executor.
+  const Sample& base = samples.front();
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    json << "    {\"executors\": " << s.executors << ", \"cold_ms\": " << s.cold_ms
-         << ", \"warm_ms\": " << s.warm_ms
-         << ", \"warm_speedup_vs_1\": " << warm_at_1 / std::max(s.warm_ms, 0.001)
+    json << "    {\"executors\": " << s.executors
+         << ", \"cold_wall_ms\": " << s.cold.wall_ms
+         << ", \"cold_modeled_ms\": " << s.cold.modeled_ms
+         << ", \"warm_wall_ms\": " << s.warm.wall_ms
+         << ", \"warm_modeled_ms\": " << s.warm.modeled_ms
+         << ", \"cold_ms\": " << s.cold.millis << ", \"warm_ms\": " << s.warm.millis
+         << ", \"warm_wall_speedup_vs_1\": "
+         << base.warm.wall_ms / std::max(s.warm.wall_ms, 0.001)
+         << ", \"warm_speedup_vs_1\": " << base.warm.millis / std::max(s.warm.millis, 0.001)
          << ", \"rows\": " << s.rows << "}" << (i + 1 < samples.size() ? "," : "")
          << "\n";
   }

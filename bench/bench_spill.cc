@@ -5,13 +5,15 @@
 // interesting output is the slowdown each spill regime costs over the
 // in-memory run alongside the spill bytes it wrote. The unlimited rung must
 // not spill and the tightest rung must (exec.spill.bytes moves), so the
-// bench can't silently measure the in-memory path three times.
+// bench can't silently measure the in-memory path three times. Each sample
+// reports measured wall time and modeled virtual time apart, plus their sum.
 //
 // Emits BENCH_spill.json. `--smoke` runs a tiny scale for ctest.
 
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <fstream>
@@ -72,8 +74,8 @@ struct Sample {
   std::string query;
   std::string rung;
   int64_t budget_bytes;
-  double cold_ms;
-  double warm_ms;
+  Timing cold;
+  Timing warm;  // the best of three warm runs
   int64_t spill_bytes;
   size_t rows;
 };
@@ -89,13 +91,13 @@ Sample Measure(HiveServer2* server, const std::string& name, const Rung& rung,
   Timing cold = RunTimed(session, sql);
   if (!cold.ok) std::exit(1);
 
-  double warm_ms = 0;
+  Timing warm;
   QueryResult warm_result;
   for (int rep = 0; rep < 3; ++rep) {
     Timing t = RunTimed(session, sql);
     if (!t.ok) std::exit(1);
-    if (rep == 0 || t.millis < warm_ms) warm_ms = t.millis;
     warm_result = std::move(t.result);
+    if (rep == 0 || t.millis < warm.millis) warm = std::move(t);
   }
   int64_t spilled = server->metrics()->Value("exec.spill.bytes") - spill0;
 
@@ -118,8 +120,8 @@ Sample Measure(HiveServer2* server, const std::string& name, const Rung& rung,
                  static_cast<long long>(spilled));
     std::exit(1);
   }
-  return {name,    rung.name, rung.budget_bytes,      cold.millis,
-          warm_ms, spilled,   warm_result.rows.size()};
+  const size_t rows = warm_result.rows.size();
+  return {name, rung.name, rung.budget_bytes, std::move(cold), std::move(warm), spilled, rows};
 }
 
 }  // namespace
@@ -150,12 +152,16 @@ int main(int argc, char** argv) {
       {"sixteenth", working_set / 16},
   };
 
+  const unsigned cores = std::thread::hardware_concurrency();
   PrintHeader("Spill degradation (budget ladder vs in-memory)");
   std::printf("fact rows: %lld, estimated working set: %lld KiB\n",
               static_cast<long long>(fact_rows),
               static_cast<long long>(working_set / 1024));
-  std::printf("%-14s %-10s %12s %12s %12s %14s\n", "query", "budget",
-              "cold (ms)", "warm (ms)", "slowdown", "spill (KiB)");
+  std::printf("host hardware_concurrency: %u; times in ms; modeled = virtual "
+              "clock (CPU model)\n",
+              cores);
+  std::printf("%-14s %-10s %10s %10s %9s %14s %9s %12s\n", "query", "budget", "cold wall",
+              "warm wall", "slowdown", "wall+modeled", "slowdown", "spill (KiB)");
 
   const std::vector<std::pair<std::string, std::string>> queries = {
       {"join", kJoin},
@@ -167,14 +173,18 @@ int main(int argc, char** argv) {
   int64_t governed_spill = 0;
   for (const auto& [name, sql] : queries) {
     std::string expected_key;
-    double unlimited_warm = 0;
+    double unlimited_wall = 0, unlimited_total = 0;
     for (const Rung& rung : ladder) {
       Sample s = Measure(&server, name, rung, sql, &expected_key);
-      if (rung.budget_bytes == 0) unlimited_warm = s.warm_ms;
+      if (rung.budget_bytes == 0) {
+        unlimited_wall = s.warm.wall_ms;
+        unlimited_total = s.warm.millis;
+      }
       if (rung.budget_bytes != 0) governed_spill += s.spill_bytes;
-      std::printf("%-14s %-10s %12.2f %12.2f %11.2fx %14lld\n", name.c_str(),
-                  rung.name.c_str(), s.cold_ms, s.warm_ms,
-                  s.warm_ms / std::max(unlimited_warm, 0.001),
+      std::printf("%-14s %-10s %10.2f %10.2f %8.2fx %14.2f %8.2fx %12lld\n", name.c_str(),
+                  rung.name.c_str(), s.cold.wall_ms, s.warm.wall_ms,
+                  s.warm.wall_ms / std::max(unlimited_wall, 0.001), s.warm.millis,
+                  s.warm.millis / std::max(unlimited_total, 0.001),
                   static_cast<long long>(s.spill_bytes / 1024));
       samples.push_back(std::move(s));
     }
@@ -196,20 +206,30 @@ int main(int argc, char** argv) {
   json << "{\n  \"benchmark\": \"spill\",\n  \"smoke\": "
        << (smoke ? "true" : "false") << ",\n  \"fact_rows\": " << fact_rows
        << ",\n  \"working_set_bytes\": " << working_set
-       << ",\n  \"samples\": [\n";
+       << ",\n  \"hardware_concurrency\": " << cores
+       << ",\n  \"warm_runs\": 3,\n  \"samples\": [\n";
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
-    double base = s.warm_ms;
+    // Slowdowns are relative to the same query's unlimited rung. *_ms is
+    // the modeled total (wall + virtual).
+    const Sample* base = &s;
     for (const Sample& b : samples) {
       if (b.query == s.query && b.budget_bytes == 0) {
-        base = b.warm_ms;
+        base = &b;
         break;
       }
     }
     json << "    {\"query\": \"" << s.query << "\", \"budget\": \"" << s.rung
          << "\", \"budget_bytes\": " << s.budget_bytes
-         << ", \"cold_ms\": " << s.cold_ms << ", \"warm_ms\": " << s.warm_ms
-         << ", \"slowdown_vs_unlimited\": " << s.warm_ms / std::max(base, 0.001)
+         << ", \"cold_wall_ms\": " << s.cold.wall_ms
+         << ", \"cold_modeled_ms\": " << s.cold.modeled_ms
+         << ", \"warm_wall_ms\": " << s.warm.wall_ms
+         << ", \"warm_modeled_ms\": " << s.warm.modeled_ms
+         << ", \"cold_ms\": " << s.cold.millis << ", \"warm_ms\": " << s.warm.millis
+         << ", \"wall_slowdown_vs_unlimited\": "
+         << s.warm.wall_ms / std::max(base->warm.wall_ms, 0.001)
+         << ", \"slowdown_vs_unlimited\": "
+         << s.warm.millis / std::max(base->warm.millis, 0.001)
          << ", \"spill_bytes\": " << s.spill_bytes << ", \"rows\": " << s.rows
          << "}" << (i + 1 < samples.size() ? "," : "") << "\n";
   }

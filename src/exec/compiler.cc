@@ -192,11 +192,14 @@ class Compiler {
 
   void CountDigests(const RelNodePtr& node) {
     // Only count subtrees that are worth spooling (contain a scan and are
-    // below blocking operators in size).
+    // below blocking operators in size). A repeat reads the first copy's
+    // spool and never runs its inputs, so only the first copy counts them:
+    // a subtree repeated only inside repeats stays private, and can run as
+    // a parallel pipeline.
     if (node->kind == RelKind::kScan || node->kind == RelKind::kFilter ||
         node->kind == RelKind::kProject || node->kind == RelKind::kJoin ||
         node->kind == RelKind::kAggregate) {
-      ++digest_counts_[node->Digest()];
+      if (++digest_counts_[node->Digest()] > 1) return;
     }
     if (node->kind == RelKind::kScan && node->table.storage_handler.empty())
       ++bare_scan_counts_[BareScanDigest(*node)];

@@ -123,6 +123,111 @@ RelNodePtr CastColumns(RelNodePtr input, const Schema& schema) {
   return same ? input : MakeProject(input, std::move(exprs), std::move(names));
 }
 
+/// A reference to column `i` of `input`.
+ExprPtr ColumnOf(const RelNodePtr& input, size_t i) {
+  ExprPtr ref = MakeColumnRef("", input->schema.field(i).name);
+  ref->binding = static_cast<int>(i);
+  ref->type = input->schema.field(i).type;
+  return ref;
+}
+
+std::vector<size_t> AllKeys(size_t n) {
+  std::vector<size_t> ids(n);
+  for (size_t k = 0; k < n; ++k) ids[k] = k;
+  return ids;
+}
+
+/// An Aggregate over `input` that groups by `keys[k]` for each k in `ids`,
+/// naming that column `_k<k>`, and computes `aggs`. It holds copies of the
+/// keys and arguments, which rules rewrite in place.
+RelNodePtr MakeAggregate(RelNodePtr input, const std::vector<ExprPtr>& keys,
+                         const std::vector<size_t>& ids, std::vector<AggCall> aggs) {
+  auto node = std::make_shared<RelNode>();
+  node->kind = RelKind::kAggregate;
+  for (size_t k : ids) {
+    node->group_keys.push_back(CloneExpr(keys[k]));
+    node->schema.AddField("_k" + std::to_string(k), keys[k]->type);
+  }
+  for (AggCall& agg : aggs) {
+    agg.arg = CloneExpr(agg.arg);
+    node->schema.AddField(agg.name, agg.result_type);
+  }
+  node->aggs = std::move(aggs);
+  node->inputs = {std::move(input)};
+  return node;
+}
+
+/// GROUPING SETS over `input`: the sets' aggregations unioned in set order,
+/// each projecting every key, NULL for those its set leaves out, then every
+/// call. The finest set (every key some set uses) aggregates `input` once,
+/// and each coarser set re-aggregates that small result. A call that does
+/// not roll up makes every set aggregate `input` itself: DISTINCT, AVG, and
+/// a DOUBLE SUM, whose bits follow the order it adds in. Each branch reads
+/// its own copy of the shared subtree, and shared work computes it once.
+RelNodePtr AggregateGroupingSets(const RelNodePtr& input,
+                                 const std::vector<ExprPtr>& keys,
+                                 const std::vector<AggCall>& aggs,
+                                 const std::vector<std::vector<size_t>>& sets) {
+  std::vector<bool> in_finest(keys.size(), false);
+  for (const std::vector<size_t>& set : sets)
+    for (size_t k : set) in_finest[k] = true;
+  std::vector<size_t> finest;
+  for (size_t k = 0; k < keys.size(); ++k)
+    if (in_finest[k]) finest.push_back(k);
+  bool rolls_up = std::all_of(aggs.begin(), aggs.end(), [](const AggCall& agg) {
+    return RollsUp(agg) &&
+           !(agg.func == "SUM" && agg.result_type.kind == TypeKind::kDouble);
+  });
+
+  // What every set aggregates, with its key columns and calls.
+  RelNodePtr base = input;
+  std::vector<ExprPtr> base_keys = keys;
+  std::vector<AggCall> base_aggs = aggs;
+  if (rolls_up) {
+    base = MakeAggregate(input, keys, finest, aggs);
+    for (size_t i = 0; i < finest.size(); ++i) base_keys[finest[i]] = ColumnOf(base, i);
+    for (size_t j = 0; j < aggs.size(); ++j)
+      base_aggs[j] = RollUp(aggs[j], ColumnOf(base, finest.size() + j));
+  }
+
+  auto all_sets = std::make_shared<RelNode>();
+  all_sets->kind = RelKind::kUnion;
+  for (const std::vector<size_t>& set : sets) {
+    std::vector<bool> active(keys.size(), false);
+    for (size_t k : set) active[k] = true;
+    std::vector<size_t> ids;
+    for (size_t k = 0; k < keys.size(); ++k)
+      if (active[k]) ids.push_back(k);
+    bool rolled = rolls_up && ids != finest;
+    RelNodePtr branch = rolls_up && !rolled
+                            ? CloneRel(base)
+                            : MakeAggregate(CloneRel(base), base_keys, ids, base_aggs);
+    std::vector<ExprPtr> exprs;
+    std::vector<std::string> names;
+    size_t next_key = 0;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (active[k]) {
+        exprs.push_back(ColumnOf(branch, next_key++));
+      } else {
+        ExprPtr null_key = MakeLiteral(Value::Null());
+        null_key->type = keys[k]->type;
+        exprs.push_back(null_key);
+      }
+      names.push_back("_k" + std::to_string(k));
+    }
+    for (size_t j = 0; j < aggs.size(); ++j) {
+      // Only the () set can roll up no rows.
+      ExprPtr value = ColumnOf(branch, ids.size() + j);
+      exprs.push_back(rolled && ids.empty() ? RolledUpValue(aggs[j], value) : value);
+      names.push_back(aggs[j].name);
+    }
+    all_sets->inputs.push_back(MakeProject(branch, std::move(exprs), std::move(names)));
+  }
+  if (all_sets->inputs.size() == 1) return all_sets->inputs[0];
+  all_sets->schema = all_sets->inputs[0]->schema;
+  return all_sets;
+}
+
 }  // namespace
 
 bool IsAggregateFunction(const std::string& func) {
@@ -297,27 +402,6 @@ Result<RelNodePtr> Binder::BindQueryExpr(const QueryExpr& query, Scope* outer) {
       break;
   }
   return Status::Internal("unreachable set op");
-}
-
-Result<RelNodePtr> Binder::BindCore(const SelectCore& core, Scope* outer) {
-  if (core.grouping_sets.empty()) return BindCoreForSets(core, outer, nullptr);
-  if (config_->legacy_sql_only)
-    return Status::NotSupported("GROUPING SETS require Hive > 1.2");
-  // Expand grouping sets into a UNION ALL of per-set aggregations.
-  RelNodePtr result;
-  for (const std::vector<size_t>& set : core.grouping_sets) {
-    HIVE_ASSIGN_OR_RETURN(RelNodePtr branch, BindCoreForSets(core, outer, &set));
-    if (!result) {
-      result = branch;
-    } else {
-      auto u = std::make_shared<RelNode>();
-      u->kind = RelKind::kUnion;
-      u->schema = result->schema;
-      u->inputs = {result, branch};
-      result = u;
-    }
-  }
-  return result;
 }
 
 Result<RelNodePtr> Binder::BindTableRef(const TableRef& ref, Scope* scope, Scope* outer) {
@@ -965,8 +1049,9 @@ void RewriteForWindow(ExprPtr& e, const std::vector<std::string>& digests,
 
 }  // namespace
 
-Result<RelNodePtr> Binder::BindCoreForSets(const SelectCore& core, Scope* outer,
-                                           const std::vector<size_t>* active_set) {
+Result<RelNodePtr> Binder::BindCore(const SelectCore& core, Scope* outer) {
+  if (!core.grouping_sets.empty() && config_->legacy_sql_only)
+    return Status::NotSupported("GROUPING SETS require Hive > 1.2");
   Scope scope;
   scope.outer = outer;
   RelNodePtr plan;
@@ -1062,55 +1147,9 @@ Result<RelNodePtr> Binder::BindCoreForSets(const SelectCore& core, Scope* outer,
       aggs.push_back(std::move(agg));
     }
 
-    // The active grouping set keeps a subset of keys.
-    std::vector<bool> active(bound_keys.size(), true);
-    if (active_set) {
-      active.assign(bound_keys.size(), false);
-      for (size_t k : *active_set) active[k] = true;
-    }
-    auto agg_node = std::make_shared<RelNode>();
-    agg_node->kind = RelKind::kAggregate;
-    agg_node->inputs = {plan};
-    std::vector<int> key_to_output(bound_keys.size(), -1);
-    for (size_t i = 0; i < bound_keys.size(); ++i) {
-      if (!active[i]) continue;
-      key_to_output[i] = static_cast<int>(agg_node->group_keys.size());
-      agg_node->group_keys.push_back(bound_keys[i]);
-      agg_node->schema.AddField("_k" + std::to_string(i), bound_keys[i]->type);
-    }
-    for (const AggCall& agg : aggs)
-      agg_node->schema.AddField(agg.name, agg.result_type);
-    agg_node->aggs = aggs;
-    plan = agg_node;
-
-    // Normalize to the full key list: project NULL for inactive keys so all
-    // grouping-set branches share one schema.
-    if (active_set) {
-      std::vector<ExprPtr> proj;
-      std::vector<std::string> proj_names;
-      for (size_t i = 0; i < bound_keys.size(); ++i) {
-        if (key_to_output[i] >= 0) {
-          ExprPtr ref = MakeColumnRef("", "_k" + std::to_string(i));
-          ref->binding = key_to_output[i];
-          ref->type = bound_keys[i]->type;
-          proj.push_back(ref);
-        } else {
-          ExprPtr null_lit = MakeLiteral(Value::Null());
-          null_lit->type = bound_keys[i]->type;
-          proj.push_back(null_lit);
-        }
-        proj_names.push_back("_k" + std::to_string(i));
-      }
-      size_t active_keys = agg_node->group_keys.size();
-      for (size_t j = 0; j < aggs.size(); ++j) {
-        ExprPtr ref = MakeColumnRef("", aggs[j].name);
-        ref->binding = static_cast<int>(active_keys + j);
-        ref->type = aggs[j].result_type;
-        proj.push_back(ref);
-        proj_names.push_back(aggs[j].name);
-      }
-      plan = MakeProject(plan, std::move(proj), std::move(proj_names));
-    }
+    plan = core.grouping_sets.empty()
+               ? MakeAggregate(plan, bound_keys, AllKeys(bound_keys.size()), aggs)
+               : AggregateGroupingSets(plan, bound_keys, aggs, core.grouping_sets);
 
     // Rewrite items/having over the aggregate output.
     std::vector<std::string> key_digests;

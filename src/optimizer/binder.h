@@ -19,7 +19,7 @@ namespace hive {
 ///   * name resolution against the catalog and CTEs (case-insensitive),
 ///   * type derivation,
 ///   * aggregate/window separation,
-///   * grouping-set expansion into unions,
+///   * grouping sets as one aggregation of the finest set plus roll-ups,
 ///   * subquery decorrelation: IN/EXISTS -> semi/anti joins, correlated
 ///     scalar aggregates -> left joins on the correlation keys,
 ///   * SQL-surface checks for the legacy "Hive 1.2" compatibility mode
@@ -75,8 +75,6 @@ class Binder {
 
   Result<RelNodePtr> BindQueryExpr(const QueryExpr& query, Scope* outer);
   Result<RelNodePtr> BindCore(const SelectCore& core, Scope* outer);
-  Result<RelNodePtr> BindCoreForSets(const SelectCore& core, Scope* outer,
-                                     const std::vector<size_t>* active_set);
   Result<RelNodePtr> BindTableRef(const TableRef& ref, Scope* scope, Scope* outer);
   /// Binds a nested SELECT (subquery / CTE body) with its own CTE frame.
   Result<RelNodePtr> BindSelectSubtree(const std::shared_ptr<SelectStmt>& stmt);

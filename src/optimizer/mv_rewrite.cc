@@ -461,7 +461,7 @@ Result<RelNodePtr> RewriteWithMaterializedViews(
         for (const AggCall& agg : query.aggs) {
           if (!agg_ok) break;
           AggCall rolled = agg;
-          if (agg.func == "AVG" || agg.distinct) {
+          if (!RollsUp(agg)) {
             agg_ok = false;
             break;
           }
@@ -472,8 +472,6 @@ Result<RelNodePtr> RewriteWithMaterializedViews(
             // Roll up from a pre-aggregated MV column.
             std::string want = "AGG:" + agg.func + "|" +
                                (mapped_arg ? mapped_arg->ToString() : "*");
-            if (agg.func == "COUNT")
-              want = "AGG:COUNT|" + std::string(mapped_arg ? mapped_arg->ToString() : "*");
             int found = -1;
             for (size_t i = 0; i < mv.output_digests.size(); ++i)
               if (mv.output_digests[i] == want) found = static_cast<int>(i);
@@ -484,10 +482,7 @@ Result<RelNodePtr> RewriteWithMaterializedViews(
             ExprPtr ref = MakeColumnRef("", mv.desc.schema.field(found).name);
             ref->binding = found;
             ref->type = mv.desc.schema.field(found).type;
-            rolled.arg = ref;
-            if (agg.func == "SUM" || agg.func == "COUNT") rolled.func = "SUM";
-            // MIN/MAX keep their function.
-            if (agg.func == "COUNT") rolled.result_type = DataType::Bigint();
+            rolled = RollUp(agg, ref);
           } else {
             // SPJ MV: evaluate the aggregate over MV columns directly.
             if (mapped_arg) {
@@ -620,12 +615,10 @@ Result<RelNodePtr> RewriteWithMaterializedViews(
             rollup->schema.AddField("_k" + std::to_string(i), ref->type);
           }
           for (size_t j = 0; j < new_aggs.size(); ++j) {
-            AggCall r = new_aggs[j];
             ExprPtr ref = MakeColumnRef("", union_node->schema.field(new_keys.size() + j).name);
             ref->binding = static_cast<int>(new_keys.size() + j);
             ref->type = union_node->schema.field(new_keys.size() + j).type;
-            r.arg = ref;
-            if (r.func == "COUNT") r.func = "SUM";
+            AggCall r = RollUp(new_aggs[j], ref);
             rollup->aggs.push_back(r);
             rollup->schema.AddField(r.name, r.result_type);
           }
@@ -634,6 +627,20 @@ Result<RelNodePtr> RewriteWithMaterializedViews(
         } else {
           agg_node->inputs = {mv_part};
           replacement = agg_node;
+          if (new_keys.empty() && mv.summary.has_agg) {
+            // No MV row may pass the residual filters.
+            std::vector<ExprPtr> values;
+            std::vector<std::string> names;
+            for (size_t j = 0; j < new_aggs.size(); ++j) {
+              const Field& field = agg_node->schema.field(j);
+              ExprPtr ref = MakeColumnRef("", field.name);
+              ref->binding = static_cast<int>(j);
+              ref->type = field.type;
+              values.push_back(RolledUpValue(query.aggs[j], ref));
+              names.push_back(field.name);
+            }
+            replacement = MakeProject(agg_node, std::move(values), std::move(names));
+          }
         }
 
         // Re-apply the query's top projection over the new aggregate.

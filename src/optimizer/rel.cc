@@ -214,6 +214,35 @@ RelNodePtr MakeLimit(RelNodePtr input, int64_t limit) {
   return node;
 }
 
+bool RollsUp(const AggCall& agg) { return !agg.distinct && agg.func != "AVG"; }
+
+AggCall RollUp(const AggCall& agg, ExprPtr partial) {
+  AggCall rolled = agg;
+  rolled.arg = std::move(partial);
+  if (agg.func == "COUNT") rolled.func = "SUM";
+  return rolled;
+}
+
+ExprPtr RolledUpValue(const AggCall& agg, ExprPtr rolled) {
+  if (agg.func != "COUNT") return rolled;
+  ExprPtr zero = MakeLiteral(Value::Bigint(0));
+  zero->type = DataType::Bigint();
+  ExprPtr value = MakeFunction("COALESCE", {std::move(rolled), zero});
+  value->type = DataType::Bigint();
+  return value;
+}
+
+RelNodePtr CloneRel(const RelNodePtr& node) {
+  auto copy = std::make_shared<RelNode>(*node);
+  for (RelNodePtr& input : copy->inputs) input = CloneRel(input);
+  ForEachExpr(copy.get(), [](ExprPtr& e) { e = CloneExpr(e); });
+  for (SemiJoinReducer& reducer : copy->semijoin_reducers) {
+    reducer.build_plan = CloneRel(reducer.build_plan);
+    reducer.build_key = CloneExpr(reducer.build_key);
+  }
+  return copy;
+}
+
 void ForEachExpr(RelNode* node, const std::function<void(ExprPtr&)>& fn) {
   auto apply = [&fn](ExprPtr& e) {
     if (e) fn(e);

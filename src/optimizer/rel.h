@@ -134,6 +134,23 @@ RelNodePtr MakeJoin(TableRef::JoinType type, RelNodePtr left, RelNodePtr right,
                     ExprPtr condition);
 RelNodePtr MakeLimit(RelNodePtr input, int64_t limit);
 
+/// True when `agg` can be computed from its own results over finer groups.
+/// AVG and DISTINCT calls cannot.
+bool RollsUp(const AggCall& agg);
+
+/// The call that computes `agg` for coarser groups from `partial`, a column
+/// of its results over finer groups, as materialized-view rewriting rolls a
+/// query up (Section 4.4): SUM and COUNT become the SUM of the partial
+/// results, MIN and MAX keep their function. Requires RollsUp(agg).
+AggCall RollUp(const AggCall& agg, ExprPtr partial);
+
+/// `rolled`, a column holding RollUp(agg, ...)'s result, as `agg`'s value.
+/// The SUM of no counts is NULL, where a COUNT of no rows is 0.
+ExprPtr RolledUpValue(const AggCall& agg, ExprPtr rolled);
+
+/// Deep-copies a plan tree, expressions included.
+RelNodePtr CloneRel(const RelNodePtr& node);
+
 /// Visits every expression held by `node` (not recursing into inputs).
 void ForEachExpr(RelNode* node, const std::function<void(ExprPtr&)>& fn);
 

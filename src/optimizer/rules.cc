@@ -682,44 +682,63 @@ RelNodePtr ReorderJoins(RelNodePtr plan, const Config& config) {
     current_rows = best_rows;
   }
 
-  // New global offsets.
-  std::vector<size_t> new_offsets(leaves.size());
-  size_t acc = 0;
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    new_offsets[order[pos]] = acc;
-    acc += leaves[order[pos]]->schema.num_fields();
-  }
-  std::vector<int> global_map(total);
-  for (size_t g = 0; g < total; ++g) {
-    LeafRef ref = leaf_of(static_cast<int>(g));
-    global_map[g] = static_cast<int>(new_offsets[ref.leaf]) + ref.local;
-  }
+  // Original global ordinal -> ordinal in the output of leaves joined in
+  // `layout` order (-1 for leaves not joined yet).
+  auto layout_map = [&](const std::vector<size_t>& layout) {
+    std::vector<int> leaf_offset(leaves.size(), -1);
+    int acc = 0;
+    for (size_t leaf : layout) {
+      leaf_offset[leaf] = acc;
+      acc += static_cast<int>(leaves[leaf]->schema.num_fields());
+    }
+    std::vector<int> map(total, -1);
+    for (size_t g = 0; g < total; ++g) {
+      LeafRef ref = leaf_of(static_cast<int>(g));
+      if (leaf_offset[ref.leaf] >= 0) map[g] = leaf_offset[ref.leaf] + ref.local;
+    }
+    return map;
+  };
 
   // Build the left-deep tree, attaching each condition at the first step
-  // where all its leaves are available.
+  // where all its leaves are available. Each step puts the input with the
+  // larger estimate on the left, the probe side, so a star join streams its
+  // fact table and hashes only the dimensions. The estimates follow
+  // DeriveRowEstimates' join rule, so the final plan's estimates agree.
   RelNodePtr current = leaves[order[0]];
-  std::set<size_t> available = {order[0]};
+  double tree_rows = current->row_estimate;
+  std::vector<size_t> layout = {order[0]};
   for (size_t pos = 1; pos < order.size(); ++pos) {
-    available.insert(order[pos]);
+    const RelNodePtr& leaf = leaves[order[pos]];
+    bool leaf_probes = leaf->row_estimate > tree_rows;
+    if (leaf_probes) {
+      layout.insert(layout.begin(), order[pos]);
+    } else {
+      layout.push_back(order[pos]);
+    }
+    std::vector<int> step_map = layout_map(layout);
     std::vector<ExprPtr> step_conditions;
     for (CondInfo& info : cond_infos) {
       if (info.used) continue;
       bool ready = true;
       for (size_t l : info.leaves)
-        if (available.count(l) == 0) ready = false;
+        if (std::count(layout.begin(), layout.end(), l) == 0) ready = false;
       if (!ready) continue;
       info.used = true;
       ExprPtr rebound = CloneExpr(info.expr);
-      RemapBindings(rebound, global_map);
+      RemapBindings(rebound, step_map);
       step_conditions.push_back(rebound);
     }
     ExprPtr condition = AndAll(step_conditions);
     TableRef::JoinType type =
         condition ? TableRef::JoinType::kInner : TableRef::JoinType::kCross;
-    current = MakeJoin(type, current, leaves[order[pos]], condition);
+    current = leaf_probes ? MakeJoin(type, leaf, current, condition)
+                          : MakeJoin(type, current, leaf, condition);
+    tree_rows = condition ? std::max(tree_rows, leaf->row_estimate)
+                          : tree_rows * leaf->row_estimate;
   }
 
   // Restore the original output column order.
+  std::vector<int> global_map = layout_map(layout);
   std::vector<ExprPtr> refs;
   std::vector<std::string> names;
   for (size_t g = 0; g < total; ++g) {

@@ -360,6 +360,33 @@ TEST_F(ExecTest, GroupingSetsExpandToUnion) {
   EXPECT_EQ(grand_total, 20);
 }
 
+TEST_F(ExecTest, WindowOverRollupRanksAllSetsTogether) {
+  // The grand total outranks every category: one ranking over all sets.
+  auto rows = Run(
+      "SELECT i_category, SUM(ss_sales_price) AS total, "
+      "RANK() OVER (ORDER BY SUM(ss_sales_price) DESC) AS rnk "
+      "FROM store_sales, item WHERE ss_item_sk = i_item_sk GROUP BY ROLLUP (i_category)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 4u);
+  std::set<int64_t> ranks;
+  for (const auto& row : *rows) {
+    ranks.insert(row[2].i64());
+    if (row[0].is_null()) {
+      EXPECT_EQ(row[2].i64(), 1);
+    }
+  }
+  EXPECT_EQ(ranks, (std::set<int64_t>{1, 2, 3, 4}));
+}
+
+TEST_F(ExecTest, SelectDistinctOverGroupingSetsSpansAllSets) {
+  // Each category appears in both sets; DISTINCT keeps it once.
+  auto rows = Run(
+      "SELECT DISTINCT i_category FROM item GROUP BY i_category, i_price "
+      "GROUPING SETS ((i_category, i_price), (i_category))");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+}
+
 TEST_F(ExecTest, Ctes) {
   auto rows = Run(
       "WITH sporty AS (SELECT i_item_sk FROM item WHERE i_category = 'Sports') "

@@ -6,6 +6,8 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
 #include "optimizer/stats.h"
+#include "server/hive_server.h"
+#include "server/workload_loader.h"
 #include "sql/parser.h"
 
 namespace hive {
@@ -252,6 +254,44 @@ TEST_F(OptimizerTest, ExplainDigestStableAcrossIdenticalPlans) {
   EXPECT_EQ(a->Digest(), b->Digest());
   RelNodePtr c = Plan("SELECT f_amount FROM fact WHERE f_dim_sk = 6");
   EXPECT_NE(a->Digest(), c->Digest());
+}
+
+TEST(OptimizerTpcdsTest, InnerJoinsBuildOnTheSmallerEstimate) {
+  // Star joins stream the fact table and hash only dimensions: in every
+  // Figure 7 query, each inner join's right (build) input has an estimate
+  // no larger than its left (probe) input's.
+  MemFileSystem fs;
+  Config config;
+  config.container_startup_us = 0;
+  HiveServer2 server(&fs, config);
+  Connection conn = server.Connect();
+  ASSERT_TRUE(LoadTpcds(conn, TpcdsOptions()).ok());
+  std::function<void(const RelNodePtr&, const std::function<void(const RelNode&)>&)>
+      visit = [&](const RelNodePtr& node, const std::function<void(const RelNode&)>& fn) {
+        fn(*node);
+        for (const RelNodePtr& input : node->inputs) visit(input, fn);
+      };
+  int inner_joins = 0;
+  for (const BenchQuery& q : TpcdsQueries()) {
+    auto stmt = Parser::Parse(q.sql);
+    ASSERT_TRUE(stmt.ok()) << q.name;
+    auto* select = dynamic_cast<SelectStatement*>(stmt->get());
+    ASSERT_NE(select, nullptr) << q.name;
+    Binder binder(server.catalog(), &config);
+    auto bound = binder.BindSelect(select->select);
+    ASSERT_TRUE(bound.ok()) << q.name << ": " << bound.status().ToString();
+    Optimizer optimizer(server.catalog(), &config);
+    auto plan = optimizer.Optimize(*bound);
+    ASSERT_TRUE(plan.ok()) << q.name << ": " << plan.status().ToString();
+    visit(*plan, [&](const RelNode& node) {
+      if (node.kind != RelKind::kJoin || node.join_type != TableRef::JoinType::kInner)
+        return;
+      ++inner_joins;
+      EXPECT_LE(node.inputs[1]->row_estimate, node.inputs[0]->row_estimate)
+          << q.name << " builds on its larger input:\n" << (*plan)->ToString();
+    });
+  }
+  EXPECT_GE(inner_joins, 20);
 }
 
 }  // namespace

@@ -182,6 +182,23 @@ TEST_F(ServerTest, MaterializedViewRewriteFullContainment) {
   EXPECT_EQ(rewritten.rows[0][0].ToString(), direct.rows[0][0].ToString());
 }
 
+TEST_F(ServerTest, MaterializedViewRollUpCountsNoRowsAsZero) {
+  Run("CREATE TABLE f (k INT, v INT)");
+  Run("CREATE TABLE d (k INT, year INT)");
+  Run("INSERT INTO d VALUES (1, 2016), (2, 2017), (3, 2018), (4, 2019)");
+  Run("INSERT INTO f VALUES (1, 10), (2, 20), (3, 30), (4, 40), (3, 31)");
+  Run("CREATE MATERIALIZED VIEW mv AS SELECT year, COUNT(*) AS n, SUM(v) AS s "
+      "FROM f, d WHERE f.k = d.k AND year > 2017 GROUP BY year");
+  // No view row has year 2030: COUNT rolls up as the SUM of no counts,
+  // which must still read 0.
+  QueryResult rewritten =
+      Run("SELECT COUNT(*), SUM(v) FROM f, d WHERE f.k = d.k AND year = 2030");
+  EXPECT_EQ(rewritten.profile().counter(obs::qc::kMvRewrites), 1) << "expected MV rewrite";
+  ASSERT_EQ(rewritten.rows.size(), 1u);
+  EXPECT_EQ(rewritten.rows[0][0].ToString(), "0");
+  EXPECT_TRUE(rewritten.rows[0][1].is_null());
+}
+
 TEST_F(ServerTest, MaterializedViewPartialContainmentUnion) {
   Run("CREATE TABLE f (k INT, v INT)");
   Run("CREATE TABLE d (k INT, year INT)");
