@@ -576,9 +576,7 @@ Status HashAggregateOperator::Consume() {
 Result<RowBatch> HashAggregateOperator::Next(bool* done) {
   if (!consumed_) HIVE_RETURN_IF_ERROR(Consume());
   if (spill_ && spill_->spilled()) {
-    HIVE_ASSIGN_OR_RETURN(RowBatch out, spill_->NextOutput(done));
-    if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
-    return out;
+    return spill_->NextOutput(done);
   }
   size_t batch_size = static_cast<size_t>(ctx_->config->vector_batch_size);
   if (emit_index_ >= state_.num_groups()) {
@@ -589,7 +587,6 @@ Result<RowBatch> HashAggregateOperator::Next(bool* done) {
   size_t end = std::min(state_.num_groups(), emit_index_ + batch_size);
   HIVE_ASSIGN_OR_RETURN(RowBatch out, state_.Emit(emit_index_, end, schema_));
   emit_index_ = end;
-  rows_produced_ += static_cast<int64_t>(out.num_rows());
   return out;
 }
 

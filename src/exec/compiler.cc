@@ -9,15 +9,21 @@ namespace hive {
 
 namespace {
 
-/// Records an operator's execution span (rows/batches out, inclusive wall +
-/// virtual time, memory estimate) into its OperatorProfileNode. The compiler
-/// wraps every physical operator in one when the context carries a
-/// QueryProfile; EXPLAIN ANALYZE renders the resulting tree.
+/// The one wrapper around a compiled operator. With a profile node it
+/// records the operator's execution span (rows/batches out, inclusive wall +
+/// virtual time, memory estimate), which EXPLAIN ANALYZE renders; with a
+/// digest it records the rows the operator produced under that plan-node
+/// digest into RuntimeStats when it closes, which feeds re-optimization
+/// (Section 4.2). A spool's source carries only the digest and its readers
+/// only the profile node, so a shared subtree is recorded once.
 class ProfilingOperator : public Operator {
  public:
   ProfilingOperator(ExecContext* ctx, OperatorPtr child,
-                    obs::OperatorProfileNodePtr node)
-      : Operator(ctx), child_(std::move(child)), node_(std::move(node)) {}
+                    obs::OperatorProfileNodePtr node, std::string digest)
+      : Operator(ctx),
+        child_(std::move(child)),
+        node_(std::move(node)),
+        digest_(std::move(digest)) {}
 
   Status Open() override {
     Span span(this);
@@ -29,21 +35,24 @@ class ProfilingOperator : public Operator {
     auto batch = child_->Next(done);
     if (batch.ok() && !*done) {
       int64_t rows = static_cast<int64_t>(batch->SelectedSize());
-      ++node_->batches;
-      node_->rows_out += rows;
-      rows_produced_ += rows;
-      uint64_t bytes = batch->ByteSize();
-      node_->bytes_out += bytes;
-      max_batch_bytes_ = std::max(max_batch_bytes_, bytes);
-      // Streaming operators hold one batch at a time; blocking operators
-      // materialized everything they emitted.
-      node_->peak_mem_bytes = node_->blocking ? node_->bytes_out : max_batch_bytes_;
+      rows_ += rows;
+      if (node_) {
+        ++node_->batches;
+        node_->rows_out += rows;
+        uint64_t bytes = batch->ByteSize();
+        node_->bytes_out += bytes;
+        max_batch_bytes_ = std::max(max_batch_bytes_, bytes);
+        // Streaming operators hold one batch at a time; blocking operators
+        // materialized everything they emitted.
+        node_->peak_mem_bytes = node_->blocking ? node_->bytes_out : max_batch_bytes_;
+      }
     }
     return batch;
   }
 
   Status Close() override {
     Span span(this);
+    if (!digest_.empty() && ctx_->runtime_stats) ctx_->runtime_stats->Record(digest_, rows_);
     return child_->Close();
   }
 
@@ -51,14 +60,17 @@ class ProfilingOperator : public Operator {
 
  private:
   /// RAII span: accumulates the call's wall + virtual (SimClock) time into
-  /// the node. Times are inclusive of children; the tree subtracts.
+  /// the node, if there is one. Times are inclusive of children; the tree
+  /// subtracts.
   class Span {
    public:
-    explicit Span(ProfilingOperator* op)
-        : op_(op),
-          wall0_(SimClock::WallMicros()),
-          virt0_(op->ctx_->clock ? op->ctx_->clock->virtual_us() : 0) {}
+    explicit Span(ProfilingOperator* op) : op_(op) {
+      if (!op_->node_) return;
+      wall0_ = SimClock::WallMicros();
+      virt0_ = op_->ctx_->clock ? op_->ctx_->clock->virtual_us() : 0;
+    }
     ~Span() {
+      if (!op_->node_) return;
       op_->node_->wall_us += SimClock::WallMicros() - wall0_;
       if (op_->ctx_->clock)
         op_->node_->virtual_us += op_->ctx_->clock->virtual_us() - virt0_;
@@ -68,12 +80,14 @@ class ProfilingOperator : public Operator {
 
    private:
     ProfilingOperator* op_;
-    int64_t wall0_;
-    int64_t virt0_;
+    int64_t wall0_ = 0;
+    int64_t virt0_ = 0;
   };
 
   OperatorPtr child_;
   obs::OperatorProfileNodePtr node_;
+  std::string digest_;
+  int64_t rows_ = 0;
   uint64_t max_batch_bytes_ = 0;
 };
 
@@ -144,31 +158,6 @@ void LabelProfileNode(const RelNode& rel, obs::OperatorProfileNode* node) {
   }
 }
 
-/// Wraps an operator to record its produced row count under the plan-node
-/// digest when the query finishes; feeds re-optimization (Section 4.2).
-class StatsRecordingOperator : public Operator {
- public:
-  StatsRecordingOperator(ExecContext* ctx, OperatorPtr child, std::string digest)
-      : Operator(ctx), child_(std::move(child)), digest_(std::move(digest)) {}
-
-  Status Open() override { return child_->Open(); }
-  Result<RowBatch> Next(bool* done) override {
-    auto batch = child_->Next(done);
-    if (batch.ok() && !*done)
-      rows_produced_ += static_cast<int64_t>(batch->SelectedSize());
-    return batch;
-  }
-  Status Close() override {
-    if (ctx_->runtime_stats) ctx_->runtime_stats->Record(digest_, rows_produced_);
-    return child_->Close();
-  }
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  OperatorPtr child_;
-  std::string digest_;
-};
-
 class Compiler {
  public:
   explicit Compiler(ExecContext* ctx) : ctx_(ctx) {}
@@ -211,27 +200,34 @@ class Compiler {
         CountDigests(r.build_plan);
   }
 
-  /// Profile-aware compile: opens a span node for `node`, compiles the
-  /// subtree under it (children attach via recursion), and wraps the
-  /// produced operator so actuals land on the node.
+  /// Compiles `node` and wraps the operator in its one ProfilingOperator:
+  /// with a span node when the context carries a profile (the subtree's
+  /// spans attach under it), and with the digest its runtime stats record
+  /// under, if the operator computes the node itself.
   Result<OperatorPtr> CompileNode(const RelNodePtr& node) {
-    if (!ctx_->profile) return CompileNodeImpl(node);
-    auto pnode = std::make_shared<obs::OperatorProfileNode>();
-    LabelProfileNode(*node, pnode.get());
+    obs::OperatorProfileNodePtr pnode;
     obs::OperatorProfileNode* parent = profile_parent_;
-    if (parent)
-      parent->children.push_back(pnode);
-    else
-      ctx_->profile->AttachRoot(pnode);
-    profile_parent_ = pnode.get();
-    auto op = CompileNodeImpl(node);
+    if (ctx_->profile) {
+      pnode = std::make_shared<obs::OperatorProfileNode>();
+      LabelProfileNode(*node, pnode.get());
+      if (parent)
+        parent->children.push_back(pnode);
+      else
+        ctx_->profile->AttachRoot(pnode);
+      profile_parent_ = pnode.get();
+    }
+    std::string digest;
+    auto op = CompileNodeImpl(node, &digest);
     profile_parent_ = parent;
-    if (!op.ok()) return op;
-    return OperatorPtr(
-        std::make_unique<ProfilingOperator>(ctx_, std::move(*op), pnode));
+    if (!op.ok() || (!pnode && digest.empty())) return op;
+    return OperatorPtr(std::make_unique<ProfilingOperator>(ctx_, std::move(*op),
+                                                           std::move(pnode),
+                                                           std::move(digest)));
   }
 
-  Result<OperatorPtr> CompileNodeImpl(const RelNodePtr& node) {
+  /// Sets *stats_digest when the returned operator computes `node` and so
+  /// records its row count (CompileBare).
+  Result<OperatorPtr> CompileNodeImpl(const RelNodePtr& node, std::string* stats_digest) {
     // Shared work: reuse a spool for repeated subtrees.
     std::string digest;
     bool spoolable = false;
@@ -250,7 +246,13 @@ class Compiler {
         return OperatorPtr(
             std::make_unique<SpoolOperator>(ctx_, spool->second, node->schema));
       }
-      HIVE_ASSIGN_OR_RETURN(OperatorPtr source, CompileBare(node));
+      // The source records the subtree's runtime stats, once; the readers
+      // only replay its batches.
+      std::string source_digest;
+      HIVE_ASSIGN_OR_RETURN(OperatorPtr source, CompileBare(node, &source_digest));
+      if (!source_digest.empty())
+        source = std::make_unique<ProfilingOperator>(ctx_, std::move(source), nullptr,
+                                                     std::move(source_digest));
       auto state = std::make_shared<SpoolState>();
       state->source = std::move(source);
       spools_[digest] = state;
@@ -284,7 +286,7 @@ class Compiler {
         return op;
       }
     }
-    return CompileBare(node);
+    return CompileBare(node, stats_digest);
   }
 
   /// Current profile node's detail (empty when profiling is off).
@@ -386,13 +388,17 @@ class Compiler {
     return OperatorPtr(std::move(join));
   }
 
-  Result<OperatorPtr> CompileBare(const RelNodePtr& node) {
+  /// Sets *stats_digest to node->Digest() when the returned operator's
+  /// output is the node's row count for re-optimization: scans, filters,
+  /// joins and aggregates. A parallel pipeline's workers record its scan
+  /// and filter stages themselves.
+  Result<OperatorPtr> CompileBare(const RelNodePtr& node, std::string* stats_digest) {
     switch (node->kind) {
       case RelKind::kScan:
       case RelKind::kFilter:
       case RelKind::kProject: {
         // Parallel leaf pipeline: the gather operator records scan/filter
-        // stats from its workers, so no StatsRecording wrapper here.
+        // stats from its workers, so no digest here.
         ParallelPipelineSpec spec;
         if (CollectPipeline(node, &spec)) {
           // The whole scan->filter->project chain collapses into one
@@ -415,18 +421,16 @@ class Compiler {
                                         node->table.storage_handler);
           return ctx_->external_scan_factory(*node);
         }
-        auto op = std::make_unique<ScanOperator>(ctx_, *node);
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        *stats_digest = node->Digest();
+        return OperatorPtr(std::make_unique<ScanOperator>(ctx_, *node));
       }
       case RelKind::kValues:
         return OperatorPtr(std::make_unique<ValuesOperator>(ctx_, *node));
       case RelKind::kFilter: {
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
-        auto op = std::make_unique<FilterOperator>(ctx_, std::move(child),
-                                                   node->predicate);
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        *stats_digest = node->Digest();
+        return OperatorPtr(
+            std::make_unique<FilterOperator>(ctx_, std::move(child), node->predicate));
       }
       case RelKind::kProject: {
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
@@ -466,18 +470,15 @@ class Compiler {
           return OperatorPtr(std::make_unique<ProjectOperator>(
               ctx_, std::move(join), std::move(exprs), node->schema));
         }
-        HIVE_ASSIGN_OR_RETURN(
-            OperatorPtr op,
-            CompileJoin(node->inputs[0], node->inputs[1], node->join_type,
-                        node->condition, node->schema));
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        *stats_digest = node->Digest();
+        return CompileJoin(node->inputs[0], node->inputs[1], node->join_type,
+                           node->condition, node->schema);
       }
       case RelKind::kAggregate: {
         // Scan -> filter/project -> partial aggregate: fold morsels into
         // per-worker states and merge, instead of aggregating a gathered
-        // stream. Workers record the scan/filter stats; the wrapper here
-        // records only the aggregate node itself.
+        // stream. Workers record the scan/filter stats; the digest here
+        // covers only the aggregate node itself.
         ParallelPipelineSpec spec;
         if (CollectPipeline(node->inputs[0], &spec)) {
           RelabelProfile(
@@ -489,15 +490,15 @@ class Compiler {
           auto op = std::make_unique<ParallelAggregateOperator>(
               ctx_, std::move(spec), node->group_keys, node->aggs, node->schema);
           op->set_profile_node(profile_parent_);
-          return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-              ctx_, std::move(op), node->Digest()));
+          *stats_digest = node->Digest();
+          return OperatorPtr(std::move(op));
         }
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
         auto op = std::make_unique<HashAggregateOperator>(
             ctx_, std::move(child), node->group_keys, node->aggs, node->schema);
         op->set_profile_node(profile_parent_);
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        *stats_digest = node->Digest();
+        return OperatorPtr(std::move(op));
       }
       case RelKind::kWindow: {
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));

@@ -37,7 +37,7 @@ enum class RuntimeMode { kMapReduce, kTez, kLlap };
 /// query re-optimization (Section 4.2).
 struct RuntimeStats {
   Mutex mu{"runtime_stats.mu"};
-  std::map<std::string, int64_t> rows_produced HIVE_GUARDED_BY(mu);
+  std::map<std::string, int64_t> row_counts HIVE_GUARDED_BY(mu);
 
   // --- fault-tolerance counters (task attempts, Section 5.2 robustness) ---
   /// Task attempts started (morsel reads and vertex runs; >= tasks run).
@@ -53,7 +53,7 @@ struct RuntimeStats {
   /// partial count per fragment, and re-optimization needs their sum.
   void Record(const std::string& digest, int64_t rows) {
     MutexLock lock(&mu);
-    rows_produced[digest] += rows;
+    row_counts[digest] += rows;
   }
 };
 

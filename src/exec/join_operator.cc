@@ -5,7 +5,6 @@
 #include "common/hash.h"
 #include "exec/operators.h"
 #include "exec/vector_eval.h"
-#include "optimizer/expr_eval.h"
 #include "obs/metric_names.h"
 
 namespace hive {
@@ -35,6 +34,13 @@ bool BindingsAtOrAbove(const ExprPtr& e, int width) {
   for (const ExprPtr& c : e->children)
     if (!BindingsAtOrAbove(c, width)) return false;
   return true;
+}
+
+/// exec.vector.batch.size: the most (probe row, candidate) pairs one
+/// residual evaluation covers.
+size_t PairBatchSize(const ExecContext* ctx) {
+  return ctx->config ? static_cast<size_t>(std::max(1, ctx->config->vector_batch_size))
+                     : 1024;
 }
 
 ExprPtr ShiftClone(const ExprPtr& e, int delta) {
@@ -745,8 +751,79 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   };
 
   int64_t hits = 0, misses = 0;
+  // Decides probe row `src` from its candidates in build order; those with
+  // pass[k] == 0 failed the residual (a null `pass`: there is none).
+  auto decide = [&](int32_t src, const int32_t* candidate, const uint8_t* pass,
+                    size_t n) {
+    bool matched = false;
+    for (size_t k = 0; k < n; ++k) {
+      if (pass && !pass[k]) continue;
+      matched = true;
+      matched_[static_cast<size_t>(candidate[k])].store(1, std::memory_order_relaxed);
+      if (semi || anti) break;
+      emit(src, candidate[k]);
+    }
+    if (matched) ++hits; else ++misses;
+    if (semi && matched) emit(src, -1);
+    if (anti && !matched) emit(src, -1);
+    if (left_outer && !matched) emit(src, -1);
+  };
+
+  // With a residual, probe rows wait in a group until their candidate pairs
+  // fill a batch: pair k is (pair_left[k], pair_right[k]), and group row g
+  // owns pairs [row_begin[g], row_end[g]).
+  const size_t group_pairs = PairBatchSize(ctx_);
+  std::vector<int32_t> pair_left, pair_right, row_src;
+  std::vector<size_t> row_begin, row_end;
+  std::vector<uint64_t> row_seq;
+  auto decide_group = [&]() -> Status {
+    std::vector<uint8_t> pass(pair_right.size(), 0);
+    if (semi || anti) {
+      // A semi or anti probe row stops at its first match, so the residual
+      // runs in rounds: round k takes the k-th candidate of every row that
+      // has not matched yet.
+      std::vector<size_t> open;
+      for (size_t g = 0; g < row_src.size(); ++g)
+        if (row_begin[g] < row_end[g]) open.push_back(g);
+      std::vector<int32_t> left, right;
+      std::vector<uint8_t> round_pass;
+      for (size_t k = 0; !open.empty(); ++k) {
+        left.clear();
+        right.clear();
+        for (size_t g : open) {
+          left.push_back(row_src[g]);
+          right.push_back(pair_right[row_begin[g] + k]);
+        }
+        round_pass.assign(open.size(), 0);
+        HIVE_RETURN_IF_ERROR(FilterPairs(batch, left.data(), right.data(), open.size(),
+                                         round_pass.data()));
+        size_t still_open = 0;
+        for (size_t j = 0; j < open.size(); ++j) {
+          const size_t g = open[j];
+          pass[row_begin[g] + k] = round_pass[j];
+          if (!round_pass[j] && row_begin[g] + k + 1 < row_end[g]) open[still_open++] = g;
+        }
+        open.resize(still_open);
+      }
+    } else {
+      HIVE_RETURN_IF_ERROR(FilterPairs(batch, pair_left.data(), pair_right.data(),
+                                       pair_right.size(), pass.data()));
+    }
+    for (size_t g = 0; g < row_src.size(); ++g) {
+      cur_seq = row_seq[g];
+      decide(row_src[g], pair_right.data() + row_begin[g], pass.data() + row_begin[g],
+             row_end[g] - row_begin[g]);
+    }
+    pair_left.clear();
+    pair_right.clear();
+    row_src.clear();
+    row_begin.clear();
+    row_end.clear();
+    row_seq.clear();
+    return Status::OK();
+  };
+
   std::vector<int32_t> candidates;
-  std::vector<Value> left_row_boxed;  // only materialized for residuals
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {
     int32_t src = batch.SelectedRow(i);
     if (in_seqs) cur_seq = (*in_seqs)[static_cast<size_t>(src)];
@@ -771,30 +848,19 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
         std::reverse(candidates.begin(), candidates.end());
       }
     }
-
-    bool matched = false;
-    for (int32_t r : candidates) {
-      if (residual_) {
-        // Evaluate residual over concat(left, right), boxed (rare path).
-        left_row_boxed.clear();
-        for (size_t c = 0; c < left_width_; ++c)
-          left_row_boxed.push_back(
-              batch.column(c)->GetValue(static_cast<size_t>(src)));
-        for (size_t c = 0; c < build_.num_columns(); ++c)
-          left_row_boxed.push_back(build_.column(c)->GetValue(static_cast<size_t>(r)));
-        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*residual_, &left_row_boxed));
-        if (!IsTrue(v)) continue;
-      }
-      matched = true;
-      matched_[static_cast<size_t>(r)].store(1, std::memory_order_relaxed);
-      if (semi || anti) break;
-      emit(src, r);
+    if (!residual_) {
+      decide(src, candidates.data(), nullptr, candidates.size());
+      continue;
     }
-    if (matched) ++hits; else ++misses;
-    if (semi && matched) emit(src, -1);
-    if (anti && !matched) emit(src, -1);
-    if (left_outer && !matched) emit(src, -1);
+    row_src.push_back(src);
+    row_seq.push_back(cur_seq);
+    row_begin.push_back(pair_right.size());
+    pair_left.insert(pair_left.end(), candidates.size(), src);
+    pair_right.insert(pair_right.end(), candidates.begin(), candidates.end());
+    row_end.push_back(pair_right.size());
+    if (pair_right.size() >= group_pairs) HIVE_RETURN_IF_ERROR(decide_group());
   }
+  if (!row_src.empty()) HIVE_RETURN_IF_ERROR(decide_group());
   probe_hits_.fetch_add(hits, std::memory_order_relaxed);
   probe_misses_.fetch_add(misses, std::memory_order_relaxed);
   if (metric_probe_hits_) metric_probe_hits_->Add(hits);
@@ -812,6 +878,35 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   out.set_num_rows(out_rows);
   *emitted = out_rows > 0;
   return out;
+}
+
+Status HashJoinCore::FilterPairs(const RowBatch& probe, const int32_t* left,
+                                 const int32_t* right, size_t n, uint8_t* pass) const {
+  const size_t chunk = PairBatchSize(ctx_);
+  // A batch over concat(probe, build) that carries only the columns the
+  // residual reads.
+  Schema schema;
+  for (size_t c = 0; c < left_width_; ++c) schema.AddField("", probe.column(c)->type());
+  for (size_t c = 0; c < build_.num_columns(); ++c)
+    schema.AddField("", build_.column(c)->type());
+  RowBatch pairs(std::move(schema));
+  std::vector<bool> read(pairs.num_columns(), false);
+  CollectBindings(residual_, &read);
+  for (size_t begin = 0; begin < n; begin += chunk) {
+    const size_t m = std::min(chunk, n - begin);
+    for (size_t c = 0; c < read.size(); ++c) {
+      if (!read[c]) continue;
+      const bool from_probe = c < left_width_;
+      const ColumnVector& src = from_probe ? *probe.column(c) : *build_.column(c - left_width_);
+      auto col = std::make_shared<ColumnVector>(src.type());
+      col->AppendGather(src, (from_probe ? left : right) + begin, m);
+      pairs.SetColumn(c, std::move(col));
+    }
+    pairs.set_num_rows(m);
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr mask, EvalVector(*residual_, pairs));
+    for (size_t k = 0; k < m; ++k) pass[begin + k] = !mask->IsNull(k) && mask->GetI64(k) != 0;
+  }
+  return Status::OK();
 }
 
 Result<RowBatch> HashJoinCore::EmitUnmatchedRight(std::vector<int32_t>* build_rows) {
@@ -890,9 +985,7 @@ Result<RowBatch> HashJoinOperator::Next(bool* done) {
       exhausted_left_ = true;
       HIVE_RETURN_IF_ERROR(core_.GraceFinishProbe());
     }
-    HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.GraceNextOutput(done));
-    if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
-    return out;
+    return core_.GraceNextOutput(done);
   }
   for (;;) {
     HIVE_RETURN_IF_ERROR(CheckCancelled());
@@ -910,19 +1003,13 @@ Result<RowBatch> HashJoinOperator::Next(bool* done) {
       if (ctx_->clock)
         ctx_->clock->Charge(static_cast<int64_t>(batch.SelectedSize()) *
                             core_.probe_ns_per_row() / 1000);
-      if (emitted) {
-        rows_produced_ += static_cast<int64_t>(out.num_rows());
-        return out;
-      }
+      if (emitted) return out;
       continue;
     }
     if (is_full_join_ && !emitted_unmatched_) {
       emitted_unmatched_ = true;
       HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.EmitUnmatchedRight());
-      if (out.num_rows() > 0) {
-        rows_produced_ += static_cast<int64_t>(out.num_rows());
-        return out;
-      }
+      if (out.num_rows() > 0) return out;
     }
     *done = true;
     return RowBatch();

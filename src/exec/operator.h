@@ -28,8 +28,6 @@ class Operator {
   /// Output schema.
   virtual const Schema& schema() const = 0;
 
-  int64_t rows_produced() const { return rows_produced_; }
-
  protected:
   /// Interruption point: deadline evaluation + kill-flag check. Operators
   /// call this at batch boundaries inside blocking loops (sort, hash build,
@@ -38,7 +36,6 @@ class Operator {
   Status CheckCancelled() const { return ctx_->CheckInterrupted(); }
 
   ExecContext* ctx_;
-  int64_t rows_produced_ = 0;
 };
 
 /// Drains `op` into a single materialized batch (tests, DML, subplans).

@@ -27,7 +27,6 @@ Result<RowBatch> ValuesOperator::Next(bool* done) {
       out.column(c)->AppendValue(c < row.size() ? row[c] : Value::Null());
   }
   out.set_num_rows(rows_.size());
-  rows_produced_ += static_cast<int64_t>(rows_.size());
   if (rows_.empty()) {
     *done = true;
     return RowBatch();
@@ -48,7 +47,6 @@ Result<RowBatch> FilterOperator::Next(bool* done) {
     HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection,
                           FilterSelection(*predicate_, batch));
     if (selection.empty()) continue;  // fully filtered batch; pull the next
-    rows_produced_ += static_cast<int64_t>(selection.size());
     batch.SetSelection(std::move(selection));
     return batch;
   }
@@ -73,7 +71,6 @@ Result<RowBatch> ProjectOperator::Next(bool* done) {
   }
   out.set_num_rows(batch.num_rows());
   if (batch.has_selection()) out.SetSelection(batch.selection());
-  rows_produced_ += static_cast<int64_t>(out.SelectedSize());
   return out;
 }
 
@@ -98,7 +95,6 @@ Result<RowBatch> LimitOperator::Next(bool* done) {
     selected = remaining_;
   }
   remaining_ -= selected;
-  rows_produced_ += selected;
   return batch;
 }
 
@@ -124,7 +120,6 @@ Result<RowBatch> UnionOperator::Next(bool* done) {
     HIVE_ASSIGN_OR_RETURN(RowBatch batch, children_[current_]->Next(&child_done));
     if (!child_done) {
       *done = false;
-      rows_produced_ += static_cast<int64_t>(batch.SelectedSize());
       return batch;
     }
     ++current_;
@@ -211,7 +206,6 @@ Result<RowBatch> SetOpOperator::Next(bool* done) {
       }
     }
     HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(digest_footprint));
-    rows_produced_ += static_cast<int64_t>(result_.num_rows());
   }
   if (emitted_ || result_.num_rows() == 0) {
     *done = true;
@@ -262,7 +256,6 @@ Result<RowBatch> SpoolOperator::Next(bool* done) {
   }
   *done = false;
   const RowBatch& batch = state_->batches[index_++];
-  rows_produced_ += static_cast<int64_t>(batch.SelectedSize());
   return batch;
 }
 

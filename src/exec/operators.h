@@ -43,7 +43,7 @@ class ScanOperator : public Operator {
   size_t num_morsels() const { return morsels_.size(); }
   /// Reads one morsel and applies residual filters / runtime Blooms. Sets
   /// *skipped (returning an empty batch) when the sarg eliminates the row
-  /// group. Thread-safe after Open; does not touch rows_produced_.
+  /// group. Thread-safe after Open.
   Result<RowBatch> ReadMorsel(size_t index, bool* skipped);
   /// ReadMorsel wrapped in the task-attempt policy: a transient failure
   /// (flaky read, chunk checksum mismatch) re-runs the read up to
@@ -232,6 +232,12 @@ class HashJoinCore {
   /// typed fast path the key kinds allow.
   bool KeysEqual(const std::vector<ColumnVectorPtr>& probe_cols, int32_t probe_row,
                  int32_t build_row) const;
+
+  /// Sets pass[k] to whether the residual is TRUE on the pair (probe row
+  /// left[k] of `probe`, build row right[k]) for every k < n. Evaluates it
+  /// with EvalVector on chunks of at most exec.vector.batch.size pairs.
+  Status FilterPairs(const RowBatch& probe, const int32_t* left, const int32_t* right,
+                     size_t n, uint8_t* pass) const;
 
   /// Switches an over-budget build into grace mode: spills the rows already
   /// accumulated in build_ to depth-0 hash partitions and resets build_.

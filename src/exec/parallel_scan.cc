@@ -267,7 +267,6 @@ Result<RowBatch> ParallelScanOperator::Next(bool* done) {
   RowBatch out = std::move(results_[emit_]);
   present_[emit_] = 0;
   ++emit_;
-  rows_produced_ += static_cast<int64_t>(out.SelectedSize());
   return out;
 }
 
@@ -337,9 +336,7 @@ Result<RowBatch> ParallelHashJoinOperator::Next(bool* done) {
   if (!ran_) HIVE_RETURN_IF_ERROR(RunPipeline());
   if (core_.grace_active()) {
     // Sequence-merged grace output (FULL OUTER tail included).
-    HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.GraceNextOutput(done));
-    if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
-    return out;
+    return core_.GraceNextOutput(done);
   }
   while (emit_ < results_.size() && !present_[emit_]) ++emit_;
   if (emit_ < results_.size()) {
@@ -347,7 +344,6 @@ Result<RowBatch> ParallelHashJoinOperator::Next(bool* done) {
     RowBatch out = std::move(results_[emit_]);
     present_[emit_] = 0;
     ++emit_;
-    rows_produced_ += static_cast<int64_t>(out.num_rows());
     return out;
   }
   if (is_full_join_ && !emitted_unmatched_) {
@@ -355,7 +351,6 @@ Result<RowBatch> ParallelHashJoinOperator::Next(bool* done) {
     HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.EmitUnmatchedRight());
     if (out.num_rows() > 0) {
       *done = false;
-      rows_produced_ += static_cast<int64_t>(out.num_rows());
       return out;
     }
   }
@@ -438,9 +433,7 @@ Status ParallelAggregateOperator::RunPipeline() {
 Result<RowBatch> ParallelAggregateOperator::Next(bool* done) {
   if (!ran_) HIVE_RETURN_IF_ERROR(RunPipeline());
   if (spill_ && spill_->spilled()) {
-    HIVE_ASSIGN_OR_RETURN(RowBatch out, spill_->NextOutput(done));
-    if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
-    return out;
+    return spill_->NextOutput(done);
   }
   GroupedAggState& state = *partials_[0];
   size_t batch_size = static_cast<size_t>(ctx_->config->vector_batch_size);
@@ -452,7 +445,6 @@ Result<RowBatch> ParallelAggregateOperator::Next(bool* done) {
   size_t end = std::min(state.num_groups(), emit_index_ + batch_size);
   HIVE_ASSIGN_OR_RETURN(RowBatch out, state.Emit(emit_index_, end, schema_));
   emit_index_ = end;
-  rows_produced_ += static_cast<int64_t>(out.num_rows());
   return out;
 }
 

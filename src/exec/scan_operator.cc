@@ -372,7 +372,6 @@ Result<RowBatch> ScanOperator::Next(bool* done) {
     if (ctx_->clock)
       ctx_->clock->Charge(static_cast<int64_t>(batch.num_rows()) *
                           ctx_->config->scan_cpu_ns_per_row / 1000);
-    rows_produced_ += static_cast<int64_t>(batch.SelectedSize());
     return batch;
   }
 }

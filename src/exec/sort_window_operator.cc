@@ -27,16 +27,13 @@ constexpr int64_t kTopKMaxFetch = 65536;
 Result<RowBatch> SortOperator::Next(bool* done) {
   if (!sorted_) HIVE_RETURN_IF_ERROR(ConsumeInput());
   if (merge_armed_) {
-    HIVE_ASSIGN_OR_RETURN(RowBatch out, MergeNext(done));
-    if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
-    return out;
+    return MergeNext(done);
   }
   if (emit_offset_ > 0 || materialized_.num_rows() == 0) {
     *done = true;
     return RowBatch();
   }
   emit_offset_ = materialized_.num_rows();
-  rows_produced_ += static_cast<int64_t>(materialized_.num_rows());
   *done = false;
   return materialized_;
 }
@@ -458,7 +455,6 @@ Result<RowBatch> WindowOperator::Next(bool* done) {
                             (&call - calls_.data()),
                         out_col);
     }
-    rows_produced_ += static_cast<int64_t>(result_.num_rows());
   }
   if (emitted_ || result_.num_rows() == 0) {
     *done = true;

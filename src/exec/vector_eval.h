@@ -3,23 +3,13 @@
 
 #include "common/column_vector.h"
 #include "common/ast.h"
+#include "optimizer/expr_eval.h"
 
 namespace hive {
 
-/// Vectorized expression interpreter: evaluates a bound expression over all
-/// *physical* rows of a batch (selection vectors are applied by the caller).
-/// Every expression kind the binder emits has a column-at-a-time kernel. A
-/// column reference aliases its input vector, as EvalExpr returns the row's
-/// value as it is; any other expression equals a ColumnVector(e.type) filled
-/// with AppendValue(EvalExpr(e, row)) for each physical row: same validity,
-/// same payload on valid rows, and an error exactly when EvalExpr fails on
-/// some row. Operands EvalExpr evaluates only on some rows (the right side
-/// of AND/OR, CASE branches, IN items) run on just those rows when they can
-/// fail. A function call evaluates its arguments as columns and applies
-/// ApplyFunction to each row's arguments. This mirrors the vectorized
-/// operator model of [39] that LLAP executes directly on its RLE data
-/// (Section 5.1).
-Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch);
+/// The operators' uses of the expression evaluator (EvalVector, in
+/// optimizer/expr_eval.h; the tests hold it to their row-at-a-time oracle):
+/// filter selections, and key hashing on the typed buffers.
 
 /// Evaluates a boolean predicate and intersects it with the batch's current
 /// selection, returning the surviving physical row indexes.

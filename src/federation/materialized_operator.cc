@@ -40,7 +40,6 @@ Result<RowBatch> MaterializedScanOperator::Next(bool* done) {
     HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection, FilterSelection(*f, out));
     out.SetSelection(std::move(selection));
   }
-  rows_produced_ += static_cast<int64_t>(out.SelectedSize());
   return out;
 }
 

@@ -5,25 +5,38 @@
 #include <vector>
 
 #include "common/ast.h"
+#include "common/column_vector.h"
 
 namespace hive {
 
-/// Row-at-a-time evaluator for bound expressions. Used for constant folding,
-/// static partition pruning, INSERT ... VALUES and the join residual; the
-/// vectorized interpreter (exec/vector_eval.h) must agree with it row for row.
+/// The expression evaluator: evaluates a bound expression over all
+/// *physical* rows of a batch (selection vectors are applied by the caller),
+/// one column-at-a-time kernel per expression kind the binder emits. It
+/// serves the operators, constant folding, static partition pruning,
+/// INSERT ... VALUES and the join residual. This mirrors the vectorized
+/// operator model of [39] that LLAP executes directly on its RLE data
+/// (Section 5.1).
 ///
-/// Every computed value is returned as a column of the node's bound type
-/// would store it (ConformToType), so a parent sees the same value whether
-/// its operand was evaluated here or read back from a batch.
-///
-/// `row` supplies the values for column bindings; a null pointer is only
-/// valid for expressions without column references.
-Result<Value> EvalExpr(const Expr& e, const std::vector<Value>* row);
+/// Its contract is parity with SQL's row-at-a-time semantics, which the
+/// tests hold it to with a boxed oracle (EvalRow in tests/expr_eval_test.cc).
+/// A column reference aliases its input vector, as a row returns its value
+/// as it is; any other expression equals a ColumnVector(e.type) filled with
+/// AppendValue of the oracle's value for each physical row: same validity,
+/// same payload on valid rows, and an error exactly when the oracle fails on
+/// some row. Operands a row-at-a-time evaluation reaches only on some rows
+/// (the right side of AND/OR, CASE branches, IN items) run on just those
+/// rows when they can fail. A function call evaluates its arguments as
+/// columns and applies ApplyFunction to each row's arguments.
+Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch);
+
+/// `e`, which has no column references, evaluated by EvalVector on a
+/// one-row batch: constant folding and INSERT ... VALUES.
+Result<Value> EvalConstant(const Expr& e);
 
 /// The built-in scalar function `name` (upper-cased, as bound) applied to its
-/// evaluated arguments. The one definition of function semantics: EvalExpr
-/// calls it per row, and the vectorized interpreter per row of the argument
-/// columns. The binder has checked the name and the argument count.
+/// evaluated arguments: the one definition of function semantics, which
+/// EvalVector applies per row of the argument columns. The binder has
+/// checked the name and the argument count.
 Result<Value> ApplyFunction(const std::string& name, const std::vector<Value>& args);
 
 /// `v` as a ColumnVector of type `t` stores it (AppendValue) and reads it
@@ -42,8 +55,7 @@ bool SqlLike(const std::string& text, const std::string& pattern);
 /// a % d for d != 0, truncated toward zero; x % -1 is 0 for every x.
 inline int64_t SqlMod(int64_t a, int64_t d) { return d == -1 ? 0 : a % d; }
 
-/// Three-valued-logic helpers: SQL comparisons return NULL when either side
-/// is NULL; this evaluator models NULL as Value::Null() of boolean type.
+/// SQL truth of a boxed value: NULL (unknown) and FALSE are not true.
 inline bool IsTrue(const Value& v) { return !v.is_null() && v.bool_value(); }
 
 }  // namespace hive

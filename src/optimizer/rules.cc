@@ -55,7 +55,7 @@ ExprPtr FoldExpr(ExprPtr e) {
     }
   }
   if (e->kind != ExprKind::kLiteral && IsFoldable(e)) {
-    auto v = EvalExpr(*e, nullptr);
+    auto v = EvalConstant(*e);
     if (v.ok()) {
       ExprPtr lit = MakeLiteral(*v);
       lit->type = e->type;
@@ -496,6 +496,31 @@ RelNodePtr PruneColumns(RelNodePtr plan) {
   return Prune(std::move(plan), std::move(all), &mapping);
 }
 
+namespace {
+
+/// The rows of `batch` on which `predicate` is TRUE. A row on which it fails
+/// (a partition value that does not parse as the cast's type, say) is
+/// dropped too: the batch is evaluated whole, and row by row only after an
+/// error.
+std::vector<int32_t> RowsWhereTrue(const Expr& predicate, const RowBatch& batch) {
+  std::vector<int32_t> rows;
+  auto mask = EvalVector(predicate, batch);
+  for (size_t i = 0; i < batch.num_rows(); ++i) {
+    const int32_t row = static_cast<int32_t>(i);
+    if (mask.ok()) {
+      if (IsTrue((*mask)->GetValue(i))) rows.push_back(row);
+      continue;
+    }
+    RowBatch one(batch.schema());
+    one.AppendRows(batch, {row});
+    auto v = EvalVector(predicate, one);
+    if (v.ok() && IsTrue((*v)->GetValue(0))) rows.push_back(row);
+  }
+  return rows;
+}
+
+}  // namespace
+
 Status PrunePartitions(const RelNodePtr& plan, Catalog* catalog) {
   for (const RelNodePtr& input : plan->inputs)
     HIVE_RETURN_IF_ERROR(PrunePartitions(input, catalog));
@@ -535,20 +560,16 @@ Status PrunePartitions(const RelNodePtr& plan, Catalog* catalog) {
     plan->pruned_partitions = std::move(partitions);
     return Status::OK();
   }
-  for (const PartitionInfo& partition : partitions) {
-    std::vector<Value> row(plan->schema.num_fields());
+  // One row per partition: its values in the partition columns, NULL in
+  // the others. A partition stays when every conjunct is TRUE on it.
+  RowBatch values(plan->schema);
+  for (const PartitionInfo& partition : partitions)
     for (size_t i = 0; i < plan->schema.num_fields(); ++i)
-      if (part_index[i] >= 0) row[i] = partition.values[part_index[i]];
-    bool keep = true;
-    for (const ExprPtr& conjunct : partition_conjuncts) {
-      auto v = EvalExpr(*conjunct, &row);
-      if (!v.ok() || !IsTrue(*v)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) plan->pruned_partitions.push_back(partition);
-  }
+      values.column(i)->AppendValue(part_index[i] >= 0 ? partition.values[part_index[i]]
+                                                       : Value::Null());
+  values.set_num_rows(partitions.size());
+  for (int32_t row : RowsWhereTrue(*AndAll(partition_conjuncts), values))
+    plan->pruned_partitions.push_back(partitions[static_cast<size_t>(row)]);
   return Status::OK();
 }
 

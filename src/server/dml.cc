@@ -326,7 +326,7 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
     HIVE_ASSIGN_OR_RETURN(QueryResult source, RunSelect(*stmt.source));
     rows = std::move(source.rows);
   } else {
-    // VALUES rows are literal expressions (fold with the evaluator).
+    // VALUES rows are constant expressions, each evaluated on one row.
     Config config = server_->EffectiveConfig(session_);
     Binder binder(&server_->catalog_, &config, session_->database);
     binder.set_table_resolver(server_->TempResolver(session_));
@@ -334,7 +334,7 @@ Result<QueryResult> DmlDriver::Insert(const InsertStatement& stmt) {
       std::vector<Value> row;
       for (const ExprPtr& e : exprs) {
         HIVE_ASSIGN_OR_RETURN(ExprPtr bound, binder.BindScalar(e, Schema(), ""));
-        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*bound, nullptr));
+        HIVE_ASSIGN_OR_RETURN(Value v, EvalConstant(*bound));
         row.push_back(std::move(v));
       }
       rows.push_back(std::move(row));

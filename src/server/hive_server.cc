@@ -301,7 +301,7 @@ Result<QueryResult> HiveServer2::TryExecuteSelect(Session* session,
   std::map<std::string, int64_t> overrides;
   if (attempt > 0 && config.reexecution_strategy == "reoptimize" && stats) {
     MutexLock lock(&stats->mu);
-    overrides = stats->rows_produced;
+    overrides = stats->row_counts;
   }
   if (attempt > 0 && config.reexecution_strategy == "overlay") {
     // Overlay strategy: force the robust configuration on reexecution.

@@ -121,6 +121,8 @@ class ExecTest : public ::testing::Test {
     ctx.config = &config_;
     ctx.clock = &clock_;
     ctx.chunks = provider_.get();
+    ctx.runtime_stats = runtime_stats_;
+    ctx.profile = profile_;
     TxnSnapshot snap = txns_.GetSnapshot();
     ctx.snapshot_for = [this, snap](const std::string& table) {
       return txns_.GetValidWriteIds(table, snap);
@@ -136,7 +138,16 @@ class ExecTest : public ::testing::Test {
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<DirectChunkProvider> provider_;
   RelNodePtr last_plan_;
+  /// Sinks Run hands to the execution context (null: none).
+  RuntimeStats* runtime_stats_ = nullptr;
+  obs::QueryProfile* profile_ = nullptr;
 };
+
+/// Every node of `plan` whose kind is `kind`, in pre-order.
+void FindNodes(const RelNodePtr& plan, RelKind kind, std::vector<RelNodePtr>* out) {
+  if (plan->kind == kind) out->push_back(plan);
+  for (const RelNodePtr& input : plan->inputs) FindNodes(input, kind, out);
+}
 
 TEST_F(ExecTest, SelectStarFromDimension) {
   auto rows = Run("SELECT * FROM item");
@@ -431,6 +442,64 @@ TEST_F(ExecTest, SharedWorkProducesSameResults) {
   auto on = Run(sql);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_EQ((*on)[0][0].i64(), (*on)[0][1].i64());
+}
+
+TEST_F(ExecTest, SpooledSubtreeRecordsItsRuntimeStatsOnce) {
+  // The two scalar subqueries aggregate the same filtered scan, so shared
+  // work runs the scan once into a spool that both aggregates read.
+  // RuntimeStats::Record accumulates, so the scan must be recorded once,
+  // by the operator that read it, and not again by each spool reader.
+  // Serial and parallel scans, with and without a profile, all agree.
+  const std::string sql =
+      "SELECT (SELECT COUNT(ss_sales_price) FROM store_sales WHERE ss_customer_sk = 1) AS a, "
+      "(SELECT SUM(ss_sales_price) FROM store_sales WHERE ss_customer_sk = 1) AS b";
+  config_.shared_work_enabled = true;
+  for (bool parallel : {false, true}) {
+    for (bool profiled : {false, true}) {
+      SCOPED_TRACE(std::string(parallel ? "parallel" : "serial") +
+                   (profiled ? ", profiled" : ""));
+      config_.parallel_scan_enabled = parallel;
+      RuntimeStats stats;
+      obs::QueryProfile profile;
+      runtime_stats_ = &stats;
+      profile_ = profiled ? &profile : nullptr;
+      auto rows = Run(sql);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ((*rows)[0][0].i64(), 27);  // 9 of each day's 60 rows, 3 days
+      std::vector<RelNodePtr> aggs, scans;
+      FindNodes(last_plan_, RelKind::kAggregate, &aggs);
+      FindNodes(last_plan_, RelKind::kScan, &scans);
+      ASSERT_EQ(aggs.size(), 2u);
+      ASSERT_EQ(scans.size(), 2u);
+      ASSERT_EQ(scans[0]->Digest(), scans[1]->Digest());
+      MutexLock lock(&stats.mu);
+      EXPECT_EQ(stats.row_counts[scans[0]->Digest()], 27);
+      for (const RelNodePtr& agg : aggs) EXPECT_EQ(stats.row_counts[agg->Digest()], 1);
+    }
+  }
+}
+
+TEST_F(ExecTest, ParallelScanRecordsEachStageDigest) {
+  // RAND() keeps the filter above the projection, so the parallel scan runs
+  // it as a stage: the scan digest counts every row the workers read, the
+  // filter's digest the rows that pass (ss_customer_sk 0 or 1: 18 a day).
+  const std::string sql =
+      "SELECT ss_item_sk FROM (SELECT ss_item_sk, ss_customer_sk + RAND() AS r "
+      "FROM store_sales) x WHERE r < 2";
+  config_.parallel_scan_enabled = true;
+  RuntimeStats stats;
+  runtime_stats_ = &stats;
+  auto rows = Run(sql);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 54u);
+  std::vector<RelNodePtr> filters, scans;
+  FindNodes(last_plan_, RelKind::kFilter, &filters);
+  FindNodes(last_plan_, RelKind::kScan, &scans);
+  ASSERT_EQ(filters.size(), 1u);
+  ASSERT_EQ(scans.size(), 1u);
+  MutexLock lock(&stats.mu);
+  EXPECT_EQ(stats.row_counts[scans[0]->Digest()], 180);
+  EXPECT_EQ(stats.row_counts[filters[0]->Digest()], 54);
 }
 
 TEST_F(ExecTest, EmptyResultSets) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "exec/vector_eval.h"
 #include "optimizer/binder.h"
@@ -12,6 +13,184 @@
 namespace hive {
 namespace {
 
+// --- The oracle: SQL semantics one boxed row at a time ---------------------
+//
+// EvalVector must agree with this evaluator row for row (CheckParity). It
+// shares ApplyFunction, ConformToType, TextOf and SqlLike with the engine,
+// the one definition of those semantics, and walks the tree itself.
+
+Result<Value> EvalRow(const Expr& e, const std::vector<Value>* row);
+
+Result<Value> EvalBinary(const Expr& e, const std::vector<Value>* row) {
+  // AND/OR use three-valued logic with short-circuiting.
+  if (e.bin_op == BinaryOp::kAnd || e.bin_op == BinaryOp::kOr) {
+    HIVE_ASSIGN_OR_RETURN(Value l, EvalRow(*e.children[0], row));
+    bool is_and = e.bin_op == BinaryOp::kAnd;
+    if (!l.is_null()) {
+      if (is_and && !l.bool_value()) return Value::Boolean(false);
+      if (!is_and && l.bool_value()) return Value::Boolean(true);
+    }
+    HIVE_ASSIGN_OR_RETURN(Value r, EvalRow(*e.children[1], row));
+    if (!r.is_null()) {
+      if (is_and && !r.bool_value()) return Value::Boolean(false);
+      if (!is_and && r.bool_value()) return Value::Boolean(true);
+    }
+    if (l.is_null() || r.is_null()) return Value::Null();
+    return Value::Boolean(is_and);
+  }
+
+  HIVE_ASSIGN_OR_RETURN(Value l, EvalRow(*e.children[0], row));
+  HIVE_ASSIGN_OR_RETURN(Value r, EvalRow(*e.children[1], row));
+  if (l.is_null() || r.is_null()) return Value::Null();
+  switch (e.bin_op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe: {
+      int cmp = Value::Compare(l, r);
+      switch (e.bin_op) {
+        case BinaryOp::kEq: return Value::Boolean(cmp == 0);
+        case BinaryOp::kNe: return Value::Boolean(cmp != 0);
+        case BinaryOp::kLt: return Value::Boolean(cmp < 0);
+        case BinaryOp::kLe: return Value::Boolean(cmp <= 0);
+        case BinaryOp::kGt: return Value::Boolean(cmp > 0);
+        default: return Value::Boolean(cmp >= 0);
+      }
+    }
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub: {
+      bool minus = e.bin_op == BinaryOp::kSub;
+      auto add = [minus](int64_t a, int64_t b) { return minus ? WrapSub(a, b) : WrapAdd(a, b); };
+      // DATE/TIMESTAMP +/- interval (bigint days from INTERVAL_DAY).
+      if (l.kind() == TypeKind::kDate) return Value::Date(add(l.i64(), r.AsInt64()));
+      if (l.kind() == TypeKind::kTimestamp)
+        return Value::Timestamp(add(l.i64(), WrapMul(r.AsInt64(), kMicrosPerDay)));
+      if (e.type.kind == TypeKind::kDouble)
+        return Value::Double(minus ? l.AsDouble() - r.AsDouble()
+                                   : l.AsDouble() + r.AsDouble());
+      if (e.type.kind == TypeKind::kDecimal) {
+        auto lc = l.CastTo(e.type);
+        auto rc = r.CastTo(e.type);
+        if (!lc.ok() || !rc.ok()) return Value::Null();
+        return Value::Decimal(add(lc->i64(), rc->i64()), e.type.scale);
+      }
+      return Value::Bigint(add(l.AsInt64(), r.AsInt64()));
+    }
+    case BinaryOp::kMul: {
+      if (e.type.kind == TypeKind::kDouble)
+        return Value::Double(l.AsDouble() * r.AsDouble());
+      if (e.type.kind == TypeKind::kDecimal) {
+        double v = l.AsDouble() * r.AsDouble();
+        return Value::Decimal(static_cast<int64_t>(std::llround(v * Pow10(e.type.scale))),
+                              e.type.scale);
+      }
+      return Value::Bigint(WrapMul(l.AsInt64(), r.AsInt64()));
+    }
+    case BinaryOp::kDiv: {
+      double d = r.AsDouble();
+      if (d == 0) return Value::Null();
+      return Value::Double(l.AsDouble() / d);
+    }
+    case BinaryOp::kMod: {
+      int64_t d = r.AsInt64();
+      if (d == 0) return Value::Null();
+      return Value::Bigint(SqlMod(l.AsInt64(), d));
+    }
+    case BinaryOp::kLike:
+      return Value::Boolean(SqlLike(TextOf(l), TextOf(r)));
+    case BinaryOp::kConcat:
+      return Value::String(TextOf(l) + TextOf(r));
+    default:
+      return Status::ExecError("unhandled binary op");
+  }
+}
+
+/// The value of `e` before ConformToType; column references never get here.
+Result<Value> EvalNode(const Expr& e, const std::vector<Value>* row) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return e.literal;
+    case ExprKind::kBinary:
+      return EvalBinary(e, row);
+    case ExprKind::kUnary: {
+      HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*e.children[0], row));
+      if (v.is_null()) return Value::Null();
+      if (e.un_op == UnaryOp::kNot) return Value::Boolean(!v.bool_value());
+      if (v.kind() == TypeKind::kDouble) return Value::Double(-v.f64());
+      if (v.kind() == TypeKind::kDecimal) return Value::Decimal(WrapSub(0, v.i64()), v.scale());
+      return Value::Bigint(WrapSub(0, v.i64()));
+    }
+    case ExprKind::kCase: {
+      size_t pair_count = (e.children.size() - (e.has_else ? 1 : 0)) / 2;
+      for (size_t p = 0; p < pair_count; ++p) {
+        HIVE_ASSIGN_OR_RETURN(Value cond, EvalRow(*e.children[2 * p], row));
+        if (IsTrue(cond)) return EvalRow(*e.children[2 * p + 1], row);
+      }
+      if (e.has_else) return EvalRow(*e.children.back(), row);
+      return Value::Null();
+    }
+    case ExprKind::kCast: {
+      HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*e.children[0], row));
+      return v.CastTo(e.cast_type);
+    }
+    case ExprKind::kInList: {
+      HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*e.children[0], row));
+      if (v.is_null()) return Value::Null();
+      bool any_null = false;
+      for (size_t i = 1; i < e.children.size(); ++i) {
+        HIVE_ASSIGN_OR_RETURN(Value candidate, EvalRow(*e.children[i], row));
+        if (candidate.is_null()) {
+          any_null = true;
+          continue;
+        }
+        if (Value::Compare(v, candidate) == 0) return Value::Boolean(!e.negated);
+      }
+      if (any_null) return Value::Null();
+      return Value::Boolean(e.negated);
+    }
+    case ExprKind::kBetween: {
+      HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*e.children[0], row));
+      HIVE_ASSIGN_OR_RETURN(Value lo, EvalRow(*e.children[1], row));
+      HIVE_ASSIGN_OR_RETURN(Value hi, EvalRow(*e.children[2], row));
+      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
+      bool in_range = Value::Compare(v, lo) >= 0 && Value::Compare(v, hi) <= 0;
+      return Value::Boolean(e.negated ? !in_range : in_range);
+    }
+    case ExprKind::kIsNull: {
+      HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*e.children[0], row));
+      return Value::Boolean(e.negated ? !v.is_null() : v.is_null());
+    }
+    case ExprKind::kFunction: {
+      std::vector<Value> args;
+      args.reserve(e.children.size());
+      for (const ExprPtr& c : e.children) {
+        HIVE_ASSIGN_OR_RETURN(Value v, EvalRow(*c, row));
+        args.push_back(std::move(v));
+      }
+      return ApplyFunction(e.func_name, args);
+    }
+    case ExprKind::kColumnRef:
+    case ExprKind::kStar:
+    case ExprKind::kSubquery:
+    case ExprKind::kParam:
+      break;
+  }
+  return Status::ExecError("cannot evaluate " + e.ToString());
+}
+
+Result<Value> EvalRow(const Expr& e, const std::vector<Value>* row) {
+  if (e.kind == ExprKind::kColumnRef) {
+    if (!row) return Status::ExecError("column reference without a row");
+    if (e.binding < 0 || static_cast<size_t>(e.binding) >= row->size())
+      return Status::ExecError("binding out of range: " + e.ToString());
+    return (*row)[e.binding];
+  }
+  HIVE_ASSIGN_OR_RETURN(Value v, EvalNode(e, row));
+  return ConformToType(std::move(v), e.type);
+}
+
 /// Parses a standalone expression by wrapping it into SELECT <expr>.
 ExprPtr ParseExpr(const std::string& text) {
   auto stmt = Parser::Parse("SELECT " + text);
@@ -20,36 +199,23 @@ ExprPtr ParseExpr(const std::string& text) {
   return select->select.body->core.items[0].expr;
 }
 
-/// Minimal manual type assignment for literal-only trees.
-void TypeLiterals(const ExprPtr& e) {
-  if (!e) return;
-  for (const ExprPtr& c : e->children) TypeLiterals(c);
-  if (e->kind == ExprKind::kLiteral) {
-    e->type.kind = e->literal.kind();
-  } else if (e->kind == ExprKind::kBinary) {
-    switch (e->bin_op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul: {
-        bool dbl = e->children[0]->type.kind == TypeKind::kDouble ||
-                   e->children[1]->type.kind == TypeKind::kDouble;
-        e->type = dbl ? DataType::Double() : DataType::Bigint();
-        if (e->children[0]->type.kind == TypeKind::kDate) e->type = DataType::Date();
-        break;
-      }
-      case BinaryOp::kDiv: e->type = DataType::Double(); break;
-      case BinaryOp::kConcat: e->type = DataType::String(); break;
-      default: e->type = DataType::Boolean(); break;
-    }
-  }
-}
+void CheckParity(const ExprPtr& e, const RowBatch& batch);
 
+/// `text` bound as a select-list item without FROM, evaluated by the
+/// engine's EvalVector on a one-row batch and checked against the oracle.
 Value Eval(const std::string& text) {
-  ExprPtr e = ParseExpr(text);
-  TypeLiterals(e);
-  auto v = EvalExpr(*e, nullptr);
-  EXPECT_TRUE(v.ok()) << v.status().ToString() << " for " << text;
-  return v.ok() ? *v : Value::Null();
+  SCOPED_TRACE(text);
+  Config config;
+  Binder binder(nullptr, &config);
+  auto bound = binder.BindScalar(ParseExpr(text), Schema(), "");
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  if (!bound.ok()) return Value::Null();
+  RowBatch one;
+  one.set_num_rows(1);
+  CheckParity(*bound, one);
+  auto v = EvalVector(**bound, one);
+  EXPECT_TRUE(v.ok()) << v.status().ToString();
+  return v.ok() ? (*v)->GetValue(0) : Value::Null();
 }
 
 TEST(ScalarEvalTest, Arithmetic) {
@@ -185,9 +351,9 @@ ExprPtr Lit(Value v) {
 }
 
 /// The core property: EvalVector equals a ColumnVector(e.type) filled with
-/// AppendValue(EvalExpr(row)) for every physical row (selection ignored):
+/// AppendValue(EvalRow(row)) for every physical row (selection ignored):
 /// same validity, same payload on every valid row, and it fails exactly
-/// when EvalExpr fails on some row.
+/// when EvalRow fails on some row.
 void CheckParity(const ExprPtr& e, const RowBatch& batch) {
   SCOPED_TRACE(e->ToString());
   ColumnVector want(e->type);
@@ -196,7 +362,7 @@ void CheckParity(const ExprPtr& e, const RowBatch& batch) {
     std::vector<Value> row;
     for (size_t c = 0; c < batch.num_columns(); ++c)
       row.push_back(batch.column(c)->GetValue(i));
-    auto v = EvalExpr(*e, &row);
+    auto v = EvalRow(*e, &row);
     if (v.ok()) {
       want.AppendValue(*v);
     } else {
@@ -561,7 +727,7 @@ void CheckParityAndOutcome(const std::string& sql, const RowBatch& batch, bool o
   EXPECT_EQ(EvalVector(*e, batch).ok(), ok) << sql;
 }
 
-TEST(VectorParityTest, FallibleCastsRunOnlyWhereEvalExprReachesThem) {
+TEST(VectorParityTest, FallibleCastsRunOnlyWhereTheOracleReachesThem) {
   RowBatch batch = MakeKindBatch();
   // Succeed: the cast never sees "nope".
   for (std::string sql :

@@ -127,7 +127,8 @@ const MatrixQuery kMatrix[] = {
     {"inner_fact_dim",
      "SELECT ss_item_sk, i_category, ss_quantity FROM store_sales, item "
      "WHERE ss_item_sk = i_item_sk AND ss_quantity > 15"},
-    // Inner join with an extra residual conjunct beyond the equi key.
+    // Inner join with an extra conjunct beyond the equi key. It names one
+    // input only, so the optimizer pushes it below the join: no residual.
     {"inner_residual",
      "SELECT ss_ticket_number, sr_return_amt FROM store_sales "
      "JOIN store_returns ON ss_ticket_number = sr_ticket_number "
@@ -173,6 +174,34 @@ const MatrixQuery kMatrix[] = {
     {"distinct_agg",
      "SELECT COUNT(DISTINCT ss_item_sk), SUM(DISTINCT ss_sales_price) "
      "FROM store_sales, store WHERE ss_store_sk = s_store_sk"},
+    // Residuals: conjuncts the optimizer cannot push below the join, so the
+    // probe evaluates them on its (probe row, candidate) pairs.
+    {"inner_cross_side_residual",
+     "SELECT ss_ticket_number, ss_sales_price, sr_return_amt FROM store_sales "
+     "JOIN store_returns ON ss_ticket_number = sr_ticket_number "
+     "AND ss_sales_price > sr_return_amt"},
+    {"left_residual",
+     "SELECT d_date_sk, d_moy, sr_item_sk FROM date_dim "
+     "LEFT JOIN store_returns ON d_date_sk = sr_returned_date_sk AND d_moy > 3"},
+    {"full_residual",
+     "SELECT d_date_sk, d_moy, s_store_sk, s_state FROM date_dim "
+     "FULL JOIN store ON d_date_sk = s_store_sk AND d_moy > s_store_sk"},
+    {"semi_residual",
+     "SELECT c_customer_sk, c_name FROM customer c WHERE EXISTS "
+     "(SELECT 1 FROM store_sales ss WHERE ss.ss_customer_sk = c.c_customer_sk "
+     "AND ss.ss_quantity > c.c_customer_sk % 20)"},
+    {"anti_residual",
+     "SELECT c_customer_sk, c_name FROM customer c WHERE NOT EXISTS "
+     "(SELECT 1 FROM store_sales ss WHERE ss.ss_customer_sk = c.c_customer_sk "
+     "AND ss.ss_quantity > c.c_customer_sk % 20)"},
+    // No equi key: every build row is a candidate of every probe row.
+    {"keyless_theta",
+     "SELECT i_item_sk, s_store_sk FROM item, store WHERE i_item_sk < s_store_sk"},
+    // The division is NULL where sr_item_sk % 3 = 0, and so is the residual.
+    {"left_null_residual",
+     "SELECT ss_ticket_number, ss_quantity, sr_item_sk FROM store_sales "
+     "LEFT JOIN store_returns ON ss_ticket_number = sr_ticket_number "
+     "AND ss_quantity / (sr_item_sk % 3) > 4"},
 };
 
 TEST_F(JoinMatrixTest, MatrixByteIdenticalAcrossEngines) {

@@ -172,8 +172,8 @@ TEST(RuntimeStatsTest, RecordAccumulatesAcrossWorkers) {
   stats.Record("scan-digest", 7);
   stats.Record("filter-digest", 3);
   MutexLock lock(&stats.mu);
-  EXPECT_EQ(stats.rows_produced["scan-digest"], 12);
-  EXPECT_EQ(stats.rows_produced["filter-digest"], 3);
+  EXPECT_EQ(stats.row_counts["scan-digest"], 12);
+  EXPECT_EQ(stats.row_counts["filter-digest"], 3);
 }
 
 }  // namespace

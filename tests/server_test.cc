@@ -155,6 +155,66 @@ TEST_F(ServerTest, ExplainShowsPlan) {
   EXPECT_NE(text.find("Scan"), std::string::npos);
 }
 
+TEST_F(ServerTest, SemiAndAntiResidualsStopAtAProbeRowsFirstMatch) {
+  Run("CREATE TABLE t1 (k INT, s STRING)");
+  Run("CREATE TABLE t2 (k INT, q INT)");
+  Run("INSERT INTO t1 VALUES (1, 'x')");
+  Run("INSERT INTO t2 VALUES (1, 20), (1, 5)");
+  // t1's row has two candidates in build order: (1, 20) passes on q alone,
+  // while (1, 5) reaches the cast, which fails on 'x'.
+  const std::string cond =
+      "t2.k = t1.k AND (t2.q > 10 OR CAST(t1.s AS DATE) IS NULL)";
+  // Semi and anti joins stop at a probe row's first match...
+  QueryResult exists =
+      Run("SELECT COUNT(*) FROM t1 WHERE EXISTS (SELECT 1 FROM t2 WHERE " + cond + ")");
+  ASSERT_EQ(exists.rows.size(), 1u);
+  EXPECT_EQ(exists.rows[0][0].i64(), 1);
+  QueryResult not_exists = Run(
+      "SELECT COUNT(*) FROM t1 WHERE NOT EXISTS (SELECT 1 FROM t2 WHERE " + cond + ")");
+  ASSERT_EQ(not_exists.rows.size(), 1u);
+  EXPECT_EQ(not_exists.rows[0][0].i64(), 0);
+  // ...while an inner join evaluates every candidate.
+  auto inner = session_.Execute("SELECT t1.k, t2.q FROM t1 JOIN t2 ON " + cond);
+  ASSERT_FALSE(inner.ok());
+  EXPECT_NE(inner.status().ToString().find("bad DATE: x"), std::string::npos)
+      << inner.status().ToString();
+}
+
+TEST_F(ServerTest, PartitionWhosePredicateFailsIsPruned) {
+  Run("CREATE TABLE tp (v INT) PARTITIONED BY (p STRING)");
+  Run("INSERT INTO tp VALUES (1, 'x'), (2, '2018-02-01'), (3, '2017-05-05')");
+  // 'x' does not parse as a DATE: static pruning drops that partition
+  // instead of failing the query.
+  const std::string sql = "SELECT v FROM tp WHERE CAST(p AS DATE) > DATE '2018-01-01'";
+  QueryResult rows = Run(sql);
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].i64(), 2);
+  QueryResult plan = Run("EXPLAIN " + sql);
+  std::string text;
+  for (const auto& row : plan.rows) text += row[0].str() + "\n";
+  EXPECT_NE(text.find("partitions: 1"), std::string::npos) << text;
+}
+
+TEST_F(ServerTest, CastThatCannotParseIsNotFoldedAndFailsAtRunTime) {
+  Run("CREATE TABLE t1 (k INT)");
+  Run("INSERT INTO t1 VALUES (1)");
+  auto result = session_.Execute("SELECT CAST('x' AS DATE) FROM t1");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("bad DATE: x"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST_F(ServerTest, InsertValuesEvaluatesEachExpression) {
+  Run("CREATE TABLE tv (a INT, b INT)");
+  Run("INSERT INTO tv VALUES (-3, 1 + 2), (CAST('7' AS INT), NULL)");
+  QueryResult rows = Run("SELECT a, b FROM tv ORDER BY a");
+  ASSERT_EQ(rows.rows.size(), 2u);
+  EXPECT_EQ(rows.rows[0][0].i64(), -3);
+  EXPECT_EQ(rows.rows[0][1].i64(), 3);
+  EXPECT_EQ(rows.rows[1][0].i64(), 7);
+  EXPECT_TRUE(rows.rows[1][1].is_null());
+}
+
 TEST_F(ServerTest, MaterializedViewRewriteFullContainment) {
   Run("CREATE TABLE f (k INT, grp INT, v INT)");
   Run("CREATE TABLE d (k INT, year INT)");

@@ -284,6 +284,14 @@ const std::vector<std::pair<std::string, std::string>>& MatrixQueries() {
       {"join_agg_sort",
        "SELECT g, COUNT(*) AS c, SUM(v) AS s, MIN(name) AS m "
        "FROM dim JOIN fact ON dk = fk GROUP BY g ORDER BY s DESC, g"},
+      // Grace probes that evaluate a residual over both inputs: an inner
+      // join, and a semi join whose build side is the fact table too.
+      {"residual_join",
+       "SELECT name, v FROM dim JOIN fact ON dk = fk AND v > dk "
+       "ORDER BY v, fk LIMIT 40"},
+      {"residual_semi_join",
+       "SELECT dk, name FROM dim WHERE EXISTS "
+       "(SELECT 1 FROM fact WHERE fk = dk AND v > dk) ORDER BY dk"},
   };
   return queries;
 }
