@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <optional>
+#include <unordered_map>
 
 #include "common/hash.h"
 #include "exec/operators.h"
@@ -36,12 +38,56 @@ bool BindingsAtOrAbove(const ExprPtr& e, int width) {
   return true;
 }
 
-/// exec.vector.batch.size: the most (probe row, candidate) pairs one
-/// residual evaluation covers.
-size_t PairBatchSize(const ExecContext* ctx) {
-  return ctx->config ? static_cast<size_t>(std::max(1, ctx->config->vector_batch_size))
-                     : 1024;
-}
+/// Evaluates a join residual, bound over concat(probe, build), on (probe
+/// row, build row) pairs. The batch it evaluates on is made once per probe
+/// batch; each chunk of at most `chunk` pairs re-gathers only the columns
+/// the residual reads.
+class PairFilter {
+ public:
+  PairFilter(const ExprPtr& residual, const RowBatch& probe, size_t left_width,
+             const RowBatch& build, size_t chunk)
+      : residual_(*residual), probe_(probe), left_width_(left_width), build_(build),
+        chunk_(chunk) {
+    Schema schema;
+    for (size_t c = 0; c < left_width; ++c) schema.AddField("", probe.column(c)->type());
+    for (size_t c = 0; c < build.num_columns(); ++c)
+      schema.AddField("", build.column(c)->type());
+    pairs_ = RowBatch(std::move(schema));
+    std::vector<bool> read(pairs_.num_columns(), false);
+    CollectBindings(residual, &read);
+    for (size_t c = 0; c < read.size(); ++c)
+      if (read[c]) reads_.push_back(c);
+  }
+
+  /// Sets pass[k] to whether the residual is TRUE on (probe row left[k],
+  /// build row right[k]) for every k < n.
+  Status Filter(const int32_t* left, const int32_t* right, size_t n, uint8_t* pass) {
+    for (size_t begin = 0; begin < n; begin += chunk_) {
+      const size_t m = std::min(chunk_, n - begin);
+      for (size_t c : reads_) {
+        const bool from_probe = c < left_width_;
+        ColumnVector& col = *pairs_.column(c);
+        col.Resize(0);
+        col.AppendGather(from_probe ? *probe_.column(c) : *build_.column(c - left_width_),
+                         (from_probe ? left : right) + begin, m);
+      }
+      pairs_.set_num_rows(m);
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr mask, EvalVector(residual_, pairs_));
+      for (size_t k = 0; k < m; ++k)
+        pass[begin + k] = !mask->IsNull(k) && mask->GetI64(k) != 0;
+    }
+    return Status::OK();
+  }
+
+ private:
+  const Expr& residual_;
+  const RowBatch& probe_;
+  size_t left_width_;
+  const RowBatch& build_;
+  size_t chunk_;
+  RowBatch pairs_;
+  std::vector<size_t> reads_;
+};
 
 ExprPtr ShiftClone(const ExprPtr& e, int delta) {
   ExprPtr out = CloneExpr(e);
@@ -743,18 +789,19 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   // only.
   std::vector<int32_t> left_rows, right_rows;
   left_rows.reserve(batch.SelectedSize());
-  uint64_t cur_seq = 0;
   auto emit = [&](int32_t left_row, int32_t right_row) {
-    if (out_seqs) out_seqs->push_back(cur_seq);
+    if (out_seqs) out_seqs->push_back(in_seqs ? (*in_seqs)[static_cast<size_t>(left_row)] : 0);
     left_rows.push_back(left_row);
     if (!semi && !anti) right_rows.push_back(right_row);
   };
 
   int64_t hits = 0, misses = 0;
   // Decides probe row `src` from its candidates in build order; those with
-  // pass[k] == 0 failed the residual (a null `pass`: there is none).
+  // pass[k] == 0 failed the residual (a null `pass`: there is none). Forced
+  // inline: without a residual it runs once per probe row, and GCC 12 keeps
+  // it out of line, which slows a probe-heavy LEFT join by ~8%.
   auto decide = [&](int32_t src, const int32_t* candidate, const uint8_t* pass,
-                    size_t n) {
+                    size_t n) __attribute__((always_inline)) {
     bool matched = false;
     for (size_t k = 0; k < n; ++k) {
       if (pass && !pass[k]) continue;
@@ -769,64 +816,74 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
     if (left_outer && !matched) emit(src, -1);
   };
 
-  // With a residual, probe rows wait in a group until their candidate pairs
-  // fill a batch: pair k is (pair_left[k], pair_right[k]), and group row g
-  // owns pairs [row_begin[g], row_end[g]).
-  const size_t group_pairs = PairBatchSize(ctx_);
-  std::vector<int32_t> pair_left, pair_right, row_src;
+  // With a residual, probe rows wait in a group: group row g is probe row
+  // row_src[g], whose candidates are cand[row_begin[g], row_end[g]). An
+  // inner or outer group flushes once its candidates fill a chunk of
+  // exec.vector.batch.size pairs, the most one residual evaluation covers.
+  // A semi or anti group is the whole batch: rows with equal keys have the
+  // same candidates and share one stored list (looked up by its first
+  // candidate), so the lists hold one entry per build row at most.
+  const size_t chunk =
+      ctx_->config ? static_cast<size_t>(std::max(1, ctx_->config->vector_batch_size)) : 1024;
+  std::optional<PairFilter> filter;
+  if (residual_) filter.emplace(residual_, batch, left_width_, build_, chunk);
+  std::vector<int32_t> cand, row_src, left, right;
   std::vector<size_t> row_begin, row_end;
-  std::vector<uint64_t> row_seq;
-  auto decide_group = [&]() -> Status {
-    std::vector<uint8_t> pass(pair_right.size(), 0);
+  std::unordered_map<int32_t, size_t> list_at;
+  std::vector<uint8_t> pass;
+  auto flush = [&]() -> Status {
+    const size_t rows = row_src.size();
     if (semi || anti) {
       // A semi or anti probe row stops at its first match, so the residual
-      // runs in rounds: round k takes the k-th candidate of every row that
-      // has not matched yet.
+      // runs in rounds: round k pairs every row that has not matched yet
+      // with its k-th candidate.
+      std::vector<int32_t> first_match(rows, -1);
       std::vector<size_t> open;
-      for (size_t g = 0; g < row_src.size(); ++g)
+      for (size_t g = 0; g < rows; ++g)
         if (row_begin[g] < row_end[g]) open.push_back(g);
-      std::vector<int32_t> left, right;
-      std::vector<uint8_t> round_pass;
       for (size_t k = 0; !open.empty(); ++k) {
         left.clear();
         right.clear();
         for (size_t g : open) {
           left.push_back(row_src[g]);
-          right.push_back(pair_right[row_begin[g] + k]);
+          right.push_back(cand[row_begin[g] + k]);
         }
-        round_pass.assign(open.size(), 0);
-        HIVE_RETURN_IF_ERROR(FilterPairs(batch, left.data(), right.data(), open.size(),
-                                         round_pass.data()));
+        pass.assign(open.size(), 0);
+        HIVE_RETURN_IF_ERROR(filter->Filter(left.data(), right.data(), open.size(), pass.data()));
         size_t still_open = 0;
         for (size_t j = 0; j < open.size(); ++j) {
           const size_t g = open[j];
-          pass[row_begin[g] + k] = round_pass[j];
-          if (!round_pass[j] && row_begin[g] + k + 1 < row_end[g]) open[still_open++] = g;
+          if (pass[j]) {
+            first_match[g] = right[j];
+          } else if (row_begin[g] + k + 1 < row_end[g]) {
+            open[still_open++] = g;
+          }
         }
         open.resize(still_open);
       }
+      // Each row is decided on its first match alone.
+      for (size_t g = 0; g < rows; ++g)
+        decide(row_src[g], &first_match[g], nullptr, first_match[g] >= 0 ? 1 : 0);
     } else {
-      HIVE_RETURN_IF_ERROR(FilterPairs(batch, pair_left.data(), pair_right.data(),
-                                       pair_right.size(), pass.data()));
+      left.clear();
+      for (size_t g = 0; g < rows; ++g)
+        left.insert(left.end(), row_end[g] - row_begin[g], row_src[g]);
+      pass.assign(cand.size(), 0);
+      HIVE_RETURN_IF_ERROR(filter->Filter(left.data(), cand.data(), cand.size(), pass.data()));
+      for (size_t g = 0; g < rows; ++g)
+        decide(row_src[g], cand.data() + row_begin[g], pass.data() + row_begin[g],
+               row_end[g] - row_begin[g]);
     }
-    for (size_t g = 0; g < row_src.size(); ++g) {
-      cur_seq = row_seq[g];
-      decide(row_src[g], pair_right.data() + row_begin[g], pass.data() + row_begin[g],
-             row_end[g] - row_begin[g]);
-    }
-    pair_left.clear();
-    pair_right.clear();
+    cand.clear();
     row_src.clear();
     row_begin.clear();
     row_end.clear();
-    row_seq.clear();
     return Status::OK();
   };
 
   std::vector<int32_t> candidates;
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {
     int32_t src = batch.SelectedRow(i);
-    if (in_seqs) cur_seq = (*in_seqs)[static_cast<size_t>(src)];
     candidates.clear();
     if (left_keys_.empty()) {
       // No equi keys: every build row is a candidate (nested loop / cross).
@@ -852,15 +909,20 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
       decide(src, candidates.data(), nullptr, candidates.size());
       continue;
     }
+    size_t begin = cand.size();
+    if (semi || anti) {
+      auto [at, fresh] = list_at.try_emplace(candidates.empty() ? -1 : candidates[0], begin);
+      if (!fresh && at->second + candidates.size() <= cand.size() &&
+          std::equal(candidates.begin(), candidates.end(), cand.begin() + at->second))
+        begin = at->second;
+    }
+    if (begin == cand.size()) cand.insert(cand.end(), candidates.begin(), candidates.end());
     row_src.push_back(src);
-    row_seq.push_back(cur_seq);
-    row_begin.push_back(pair_right.size());
-    pair_left.insert(pair_left.end(), candidates.size(), src);
-    pair_right.insert(pair_right.end(), candidates.begin(), candidates.end());
-    row_end.push_back(pair_right.size());
-    if (pair_right.size() >= group_pairs) HIVE_RETURN_IF_ERROR(decide_group());
+    row_begin.push_back(begin);
+    row_end.push_back(begin + candidates.size());
+    if (!semi && !anti && cand.size() >= chunk) HIVE_RETURN_IF_ERROR(flush());
   }
-  if (!row_src.empty()) HIVE_RETURN_IF_ERROR(decide_group());
+  if (!row_src.empty()) HIVE_RETURN_IF_ERROR(flush());
   probe_hits_.fetch_add(hits, std::memory_order_relaxed);
   probe_misses_.fetch_add(misses, std::memory_order_relaxed);
   if (metric_probe_hits_) metric_probe_hits_->Add(hits);
@@ -878,35 +940,6 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   out.set_num_rows(out_rows);
   *emitted = out_rows > 0;
   return out;
-}
-
-Status HashJoinCore::FilterPairs(const RowBatch& probe, const int32_t* left,
-                                 const int32_t* right, size_t n, uint8_t* pass) const {
-  const size_t chunk = PairBatchSize(ctx_);
-  // A batch over concat(probe, build) that carries only the columns the
-  // residual reads.
-  Schema schema;
-  for (size_t c = 0; c < left_width_; ++c) schema.AddField("", probe.column(c)->type());
-  for (size_t c = 0; c < build_.num_columns(); ++c)
-    schema.AddField("", build_.column(c)->type());
-  RowBatch pairs(std::move(schema));
-  std::vector<bool> read(pairs.num_columns(), false);
-  CollectBindings(residual_, &read);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    const size_t m = std::min(chunk, n - begin);
-    for (size_t c = 0; c < read.size(); ++c) {
-      if (!read[c]) continue;
-      const bool from_probe = c < left_width_;
-      const ColumnVector& src = from_probe ? *probe.column(c) : *build_.column(c - left_width_);
-      auto col = std::make_shared<ColumnVector>(src.type());
-      col->AppendGather(src, (from_probe ? left : right) + begin, m);
-      pairs.SetColumn(c, std::move(col));
-    }
-    pairs.set_num_rows(m);
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr mask, EvalVector(*residual_, pairs));
-    for (size_t k = 0; k < m; ++k) pass[begin + k] = !mask->IsNull(k) && mask->GetI64(k) != 0;
-  }
-  return Status::OK();
 }
 
 Result<RowBatch> HashJoinCore::EmitUnmatchedRight(std::vector<int32_t>* build_rows) {

@@ -233,12 +233,6 @@ class HashJoinCore {
   bool KeysEqual(const std::vector<ColumnVectorPtr>& probe_cols, int32_t probe_row,
                  int32_t build_row) const;
 
-  /// Sets pass[k] to whether the residual is TRUE on the pair (probe row
-  /// left[k] of `probe`, build row right[k]) for every k < n. Evaluates it
-  /// with EvalVector on chunks of at most exec.vector.batch.size pairs.
-  Status FilterPairs(const RowBatch& probe, const int32_t* left, const int32_t* right,
-                     size_t n, uint8_t* pass) const;
-
   /// Switches an over-budget build into grace mode: spills the rows already
   /// accumulated in build_ to depth-0 hash partitions and resets build_.
   Status EnterGrace();

@@ -496,31 +496,6 @@ RelNodePtr PruneColumns(RelNodePtr plan) {
   return Prune(std::move(plan), std::move(all), &mapping);
 }
 
-namespace {
-
-/// The rows of `batch` on which `predicate` is TRUE. A row on which it fails
-/// (a partition value that does not parse as the cast's type, say) is
-/// dropped too: the batch is evaluated whole, and row by row only after an
-/// error.
-std::vector<int32_t> RowsWhereTrue(const Expr& predicate, const RowBatch& batch) {
-  std::vector<int32_t> rows;
-  auto mask = EvalVector(predicate, batch);
-  for (size_t i = 0; i < batch.num_rows(); ++i) {
-    const int32_t row = static_cast<int32_t>(i);
-    if (mask.ok()) {
-      if (IsTrue((*mask)->GetValue(i))) rows.push_back(row);
-      continue;
-    }
-    RowBatch one(batch.schema());
-    one.AppendRows(batch, {row});
-    auto v = EvalVector(predicate, one);
-    if (v.ok() && IsTrue((*v)->GetValue(0))) rows.push_back(row);
-  }
-  return rows;
-}
-
-}  // namespace
-
 Status PrunePartitions(const RelNodePtr& plan, Catalog* catalog) {
   for (const RelNodePtr& input : plan->inputs)
     HIVE_RETURN_IF_ERROR(PrunePartitions(input, catalog));
@@ -560,16 +535,20 @@ Status PrunePartitions(const RelNodePtr& plan, Catalog* catalog) {
     plan->pruned_partitions = std::move(partitions);
     return Status::OK();
   }
-  // One row per partition: its values in the partition columns, NULL in
-  // the others. A partition stays when every conjunct is TRUE on it.
-  RowBatch values(plan->schema);
-  for (const PartitionInfo& partition : partitions)
+  // Each partition is a one-row batch: its values in the partition
+  // columns, NULL in the others. It stays when the conjuncts are TRUE on
+  // it; one on which they fail (a value that does not parse as a cast's
+  // type) is pruned like one on which they are FALSE.
+  const ExprPtr predicate = AndAll(partition_conjuncts);
+  for (const PartitionInfo& partition : partitions) {
+    RowBatch row(plan->schema);
     for (size_t i = 0; i < plan->schema.num_fields(); ++i)
-      values.column(i)->AppendValue(part_index[i] >= 0 ? partition.values[part_index[i]]
-                                                       : Value::Null());
-  values.set_num_rows(partitions.size());
-  for (int32_t row : RowsWhereTrue(*AndAll(partition_conjuncts), values))
-    plan->pruned_partitions.push_back(partitions[static_cast<size_t>(row)]);
+      row.column(i)->AppendValue(part_index[i] >= 0 ? partition.values[part_index[i]]
+                                                    : Value::Null());
+    row.set_num_rows(1);
+    auto v = EvalVector(*predicate, row);
+    if (v.ok() && IsTrue((*v)->GetValue(0))) plan->pruned_partitions.push_back(partition);
+  }
   return Status::OK();
 }
 

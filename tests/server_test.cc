@@ -180,6 +180,45 @@ TEST_F(ServerTest, SemiAndAntiResidualsStopAtAProbeRowsFirstMatch) {
       << inner.status().ToString();
 }
 
+TEST_F(ServerTest, ResidualJoinsOverABuildLargerThanABatch) {
+  // t1 has k = 0..9 and t2 has q = 0..2999, more rows than a vectorized
+  // batch; g is the parity of k and of q. Row k has a q > k * 400 (the
+  // first is k * 400 + 1, of its parity too) for k <= 7 only.
+  Run("CREATE TABLE t1 (k INT, g INT)");
+  Run("CREATE TABLE t2 (q INT, g INT)");
+  std::string t1 = "INSERT INTO t1 VALUES (0, 0)";
+  for (int k = 1; k < 10; ++k)
+    t1 += ", (" + std::to_string(k) + ", " + std::to_string(k % 2) + ")";
+  Run(t1);
+  std::string t2 = "INSERT INTO t2 VALUES (0, 0)";
+  for (int q = 1; q < 3000; ++q)
+    t2 += ", (" + std::to_string(q) + ", " + std::to_string(q % 2) + ")";
+  Run(t2);
+  auto keys = [&](const std::string& sql) {
+    std::vector<int64_t> out;
+    for (const auto& row : Run(sql).rows) out.push_back(row[0].i64());
+    return out;
+  };
+  const std::vector<int64_t> matched = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<int64_t> unmatched = {8, 9};
+  // A small batch size also splits the semi and anti rounds into chunks.
+  for (int batch_size : {1024, 3}) {
+    session_.config().vector_batch_size = batch_size;
+    // With no equi key every t2 row is a candidate of every t1 row; with
+    // g the rows of one parity share their candidates.
+    for (const std::string cond : {"t2.q > t1.k * 400", "t2.g = t1.g AND t2.q > t1.k * 400"}) {
+      const std::string sub = "(SELECT 1 FROM t2 WHERE " + cond + ") ORDER BY k";
+      EXPECT_EQ(keys("SELECT k FROM t1 WHERE EXISTS " + sub), matched) << cond;
+      EXPECT_EQ(keys("SELECT k FROM t1 WHERE NOT EXISTS " + sub), unmatched) << cond;
+    }
+    // Inner and left joins evaluate every pair: sum over k <= 7 of
+    // 2999 - k * 400 matches, plus t1's two unmatched rows for LEFT.
+    const std::string on = " t2 ON t2.q > t1.k * 400";
+    EXPECT_EQ(keys("SELECT COUNT(*) FROM t1 JOIN" + on), std::vector<int64_t>{12792});
+    EXPECT_EQ(keys("SELECT COUNT(*) FROM t1 LEFT JOIN" + on), std::vector<int64_t>{12794});
+  }
+}
+
 TEST_F(ServerTest, PartitionWhosePredicateFailsIsPruned) {
   Run("CREATE TABLE tp (v INT) PARTITIONED BY (p STRING)");
   Run("INSERT INTO tp VALUES (1, 'x'), (2, '2018-02-01'), (3, '2017-05-05')");
