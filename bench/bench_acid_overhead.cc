@@ -165,6 +165,16 @@ BENCHMARK(BM_AcidPointLookup)->Unit(benchmark::kMicrosecond);
 }  // namespace
 }  // namespace hive
 
+// AddressSanitizer replaces glibc's allocator, and its mallopt refuses every
+// option, so such a build has no thresholds to pin.
+#if defined(__SANITIZE_ADDRESS__)
+#define HIVE_ASAN_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HIVE_ASAN_ALLOCATOR 1
+#endif
+#endif
+
 // glibc moves its mmap and trim thresholds as the shared set-up allocates and
 // frees, so each scan would run on a heap shaped by whatever ran before it:
 // BM_ScanNonAcid moved by a fifth between builds that did not touch its
@@ -172,11 +182,17 @@ BENCHMARK(BM_AcidPointLookup)->Unit(benchmark::kMicrosecond);
 // GLIBC_TUNABLES=glibc.malloc.mmap_threshold=...:glibc.malloc.trim_threshold=...
 // does, keeps the allocator's behaviour the same from run to run.
 int main(int argc, char** argv) {
+#ifdef HIVE_ASAN_ALLOCATOR
+  std::fprintf(stderr,
+               "AddressSanitizer build: glibc malloc thresholds not pinned, "
+               "timings follow the sanitizer's allocator\n");
+#else
   // 32 MiB is the largest mmap threshold glibc accepts on 64-bit hosts.
   if (mallopt(M_MMAP_THRESHOLD, 32 << 20) != 1 || mallopt(M_TRIM_THRESHOLD, 1 << 30) != 1) {
     std::fprintf(stderr, "mallopt refused the pinned thresholds\n");
     return 1;
   }
+#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

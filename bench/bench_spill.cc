@@ -124,6 +124,20 @@ Sample Measure(HiveServer2* server, const std::string& name, const Rung& rung,
   return {name, rung.name, rung.budget_bytes, std::move(cold), std::move(warm), spilled, rows};
 }
 
+/// The CPU model the host reports (Linux's /proc/cpuinfo), so that the
+/// timings name the machine they were taken on.
+std::string HostCpu() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos) continue;
+    const size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? std::string() : line.substr(start);
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,6 +221,7 @@ int main(int argc, char** argv) {
        << (smoke ? "true" : "false") << ",\n  \"fact_rows\": " << fact_rows
        << ",\n  \"working_set_bytes\": " << working_set
        << ",\n  \"hardware_concurrency\": " << cores
+       << ",\n  \"host_cpu\": \"" << HostCpu() << "\""
        << ",\n  \"warm_runs\": 3,\n  \"samples\": [\n";
   for (size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];

@@ -8,7 +8,9 @@
 # the observability suite (sharded metric counters under concurrent
 # increments and snapshots), and the spill suite (8-executor queries
 # growing and spilling against the shared memory governor), and the DML
-# suite (UPDATE/DELETE/MERGE reads run morsel workers beside compaction).
+# suite (UPDATE/DELETE/MERGE reads run morsel workers beside compaction),
+# and the aggregate suites (grouping sets and the aggregate reference test
+# merge per-worker partial states built on executor threads).
 #
 # Usage: scripts/run_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -19,12 +21,15 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DHIVE_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target \
   concurrency_test llap_test parallel_exec_test fault_injection_test obs_test \
-  sync_test join_matrix_test spill_test workloads_test dml_test
+  sync_test join_matrix_test spill_test workloads_test dml_test \
+  grouping_sets_test agg_reference_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 
 status=0
-for t in concurrency_test llap_test parallel_exec_test fault_injection_test obs_test sync_test join_matrix_test spill_test workloads_test dml_test; do
+for t in concurrency_test llap_test parallel_exec_test fault_injection_test obs_test \
+    sync_test join_matrix_test spill_test workloads_test dml_test grouping_sets_test \
+    agg_reference_test; do
   echo "== TSan: $t"
   if ! "$BUILD_DIR/tests/$t"; then
     echo "== TSan FAILED: $t"

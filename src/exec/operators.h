@@ -314,13 +314,27 @@ class HashJoinOperator : public Operator {
 };
 
 /// Mergeable grouped-aggregation state: the hash table of one aggregation
-/// fragment. Every supported accumulator (COUNT / SUM / AVG-as-sum+count /
-/// MIN / MAX / DISTINCT value sets) merges commutatively, so each parallel
-/// worker folds its morsels into a private instance and the coordinator
-/// merges them — the classic partial-aggregate exchange. Groups remember the
-/// sequence number of the first input row that created them; emission sorts
-/// by that, making output order deterministic and independent of how rows
-/// were distributed over workers.
+/// fragment, filled in two phases per batch.
+///
+///  1. Group ordinals: key columns evaluate vectorized and hash column-wise;
+///     the FlatHashIndex chain walk checks candidates with one typed
+///     comparator per key (NULLs equal, DOUBLE by Value::Compare so -0.0
+///     meets 0.0), and a batch's new groups append their first rows to the
+///     key store with one AppendGather per key column.
+///  2. Accumulators: one typed loop per aggregate over the batch's (row,
+///     ordinal) pairs into accumulator columns. Each call's kernel — COUNT,
+///     SUM, AVG, MIN or MAX over its accumulator type, or a DISTINCT value
+///     set — is resolved once, when the state is built.
+///
+/// A partial state is one batch over partial_schema(): the key columns, the
+/// accumulator columns and each group's first-seen sequence. Merging worker
+/// partials and rebuilding spilled partitions run the same two phases over
+/// such a batch with merge kernels (counts add, sums add, MIN takes the
+/// min), so every accumulator merges commutatively and each parallel worker
+/// folds its morsels into a private instance that the coordinator merges.
+/// Groups remember the sequence number of the first input row that created
+/// them; emission sorts by that, making output order deterministic and
+/// independent of how rows were distributed over workers.
 class GroupedAggState {
  public:
   GroupedAggState(const std::vector<ExprPtr>* keys, const std::vector<AggCall>* aggs);
@@ -329,8 +343,22 @@ class GroupedAggState {
   /// order (a new group records seq_base + its row position).
   Status Consume(const RowBatch& batch, uint64_t seq_base);
 
-  /// Merges `other`'s groups into this state.
+  /// Merges `other`'s groups into this state (its Partial batch).
   void Merge(GroupedAggState&& other);
+
+  /// The state as one batch over partial_schema(), and in `seqs` each row's
+  /// group first-seen sequence. Keys, then per call its accumulator columns:
+  /// COUNT a BIGINT count; SUM, MIN and MAX a column of the accumulator type,
+  /// NULL until a value arrived; AVG a DOUBLE sum and a BIGINT count; a
+  /// DISTINCT call its values, one a row. A group spans as many rows as its
+  /// largest DISTINCT set, its other accumulators on the first row only.
+  /// The batch may share columns with the state; call before Seal.
+  RowBatch Partial(std::vector<uint64_t>* seqs) const;
+  /// Folds a Partial batch (of this state's keys and calls) in, over its
+  /// selected rows: new groups are adopted, existing ones merge their
+  /// accumulators and keep the smaller first-seen sequence.
+  void MergePartial(const RowBatch& partial, const std::vector<uint64_t>& seqs);
+  const Schema& partial_schema() const { return partial_schema_; }
 
   /// Finishes the build: adds the empty global group (no keys, no input)
   /// and orders groups by first-seen sequence. Call once, after all
@@ -338,107 +366,101 @@ class GroupedAggState {
   void Seal();
 
   size_t num_groups() const { return ordered_.size(); }
-  /// Memory footprint for stage-boundary accounting: hash index + dense
-  /// group array + per-group key bytes and accumulator payloads (including
-  /// DISTINCT sets), tallied as groups grow and values accumulate.
+  /// Stored-group count, valid before Seal.
+  size_t num_raw_groups() const { return first_seq_.size(); }
+  /// First-seen sequence of the i-th *sealed* group (merge-emit ordering).
+  uint64_t ordered_first_seq(size_t i) const { return first_seq_[ordered_[i]]; }
+  /// Memory footprint, the figure the reservation grows to: the hash index,
+  /// the key store, the accumulator columns, the first-seen sequences, the
+  /// string bytes they hold and the DISTINCT sets' values.
   uint64_t approx_bytes() const;
 
-  /// Emits groups [begin, end) as a batch over `schema` (keys then aggs).
+  /// Emits sealed groups [begin, end) as a batch over `schema` (keys then
+  /// aggs).
   Result<RowBatch> Emit(size_t begin, size_t end, const Schema& schema) const;
-
-  // --- spill surface (AggSpillSet) ---
-  /// Stored-group count, valid before Seal (spill flushes walk raw groups).
-  size_t num_raw_groups() const { return groups_.size(); }
-  uint64_t group_hash(size_t i) const { return groups_[i].hash; }
-  /// First-seen sequence of the i-th *sealed* group (merge-emit ordering).
-  uint64_t ordered_first_seq(size_t i) const {
-    return groups_[ordered_[i]].first_seq;
-  }
-  /// Serializes raw group `i` — hash, first_seq, keys, accumulators
-  /// (DISTINCT sets sorted for determinism) — as one spill record.
-  std::string SerializeGroup(size_t i) const;
-  /// Merges one serialized group record into this state (same semantics as
-  /// Merge: new groups are adopted, existing ones fold accumulators and
-  /// keep the minimum first_seq).
-  Status AbsorbSerializedGroup(const std::string& record);
   /// Drops all groups and the index (after a spill flush).
   void Reset();
 
  private:
-  struct Accumulator {
-    int64_t count = 0;
-    bool any = false;
-    int64_t sum_i64 = 0;
-    double sum_f64 = 0;
-    Value min, max;
-    /// DISTINCT values, hashed on Value::Hash. Iteration order is
-    /// nondeterministic, so order-sensitive finalizes (SUM over doubles)
-    /// sort via Value::Compare first.
-    std::unordered_set<Value, ValueHasher> distinct;
+  enum class AggFn : uint8_t { kCount, kSum, kAvg, kMin, kMax };
+  /// One call, resolved when the state is built.
+  struct Kernel {
+    AggFn fn;
+    bool distinct;
+    /// The argument's type after the per-batch conform: the accumulator's
+    /// type (AVG: DOUBLE), or the DISTINCT values' type.
+    DataType type;
+    size_t col;  // first accumulator column (acc_ / the partial batch after the keys)
   };
-  struct Group {
-    std::vector<Value> keys;
-    std::vector<Accumulator> accs;
-    uint64_t first_seq = 0;
-    uint64_t hash = 0;  // combined key hash (Merge re-indexes without reboxing)
-  };
+  using DistinctSet = std::unordered_set<Value, ValueHasher>;
 
-  /// Returns the dense ordinal of the group for `hash`/`keys`, creating it
-  /// (consuming `keys`) when unseen. `seq` stamps a new group's first_seq.
-  /// Merge-side path; Consume looks up against key columns directly.
-  uint32_t FindOrCreate(uint64_t hash, std::vector<Value>&& keys, uint64_t seq,
-                        bool* created);
-  /// Appends a new group and indexes it; returns its ordinal.
-  uint32_t CreateGroup(uint64_t hash, std::vector<Value>&& keys, uint64_t seq);
-  /// Key equality of a stored group against one physical row of evaluated
-  /// key columns (hash-chain verification without boxing the row).
-  bool GroupMatchesRow(const Group& g, const std::vector<ColumnVectorPtr>& key_cols,
-                       int32_t row) const;
-  void MergeAccumulator(Accumulator* into, Accumulator&& from);
-  Value Finalize(const AggCall& agg, const Accumulator& acc) const;
-  /// Incremental footprint bookkeeping for one boxed value entering the
-  /// state (group key or DISTINCT element).
-  static uint64_t ValueBytes(const Value& v);
-  /// Full payload footprint of one group (keys + accumulators + DISTINCT
-  /// contents); used when Merge adopts a group wholesale.
-  static uint64_t GroupPayloadBytes(const Group& g);
+  /// Phase one over rows[0..n) of `key_cols` (key-typed): fills ords_,
+  /// creating the groups not yet stored. A new group takes seq_of(i); with
+  /// `merge`, a found group keeps the smaller of its sequence and seq_of(i).
+  template <typename SeqOf>
+  void MapGroups(const std::vector<ColumnVectorPtr>& key_cols, size_t num_rows,
+                 const int32_t* rows, size_t n, SeqOf seq_of, bool merge);
+  /// Phase two: folds `in` (one input per accumulator column; COUNT(*)'s is
+  /// null) at rows[0..n) into the groups ords_ names. `merge` reads counts
+  /// from partial count columns instead of counting rows.
+  void Accumulate(const std::vector<ColumnVectorPtr>& in, const int32_t* rows, size_t n,
+                  bool merge);
+  /// Grows the accumulators and DISTINCT sets to num_raw_groups() groups.
+  void GrowAccumulators();
+  /// A DISTINCT call's result over one group's value set.
+  Value FinalizeDistinct(const Kernel& k, const AggCall& agg, const DistinctSet& set) const;
 
   const std::vector<ExprPtr>* keys_;
   const std::vector<AggCall>* aggs_;
-  /// Dense group storage + flat open-addressing index over group-key hashes
-  /// (payload = ordinal into groups_). Hash collisions chain in the index
-  /// and resolve by key comparison.
-  std::vector<Group> groups_;
+  std::vector<Kernel> kernels_;  // parallel to *aggs_
+  Schema partial_schema_;
+  /// The key store and the accumulator columns, one row per group ordinal
+  /// (a DISTINCT call's acc_ slot is null: its values live in distinct_).
+  std::vector<ColumnVectorPtr> key_cols_;
+  std::vector<ColumnVectorPtr> acc_;
+  std::vector<std::vector<DistinctSet>> distinct_;  // per DISTINCT call, per group
+  std::vector<uint64_t> first_seq_;
+  /// Flat open-addressing index over group-key hashes (payload = ordinal).
+  /// Hash collisions chain and resolve by key comparison.
   FlatHashIndex index_;
   std::vector<uint32_t> ordered_;  // Seal(): ordinals sorted by first_seq
-  /// Running payload footprint (keys + distinct values) feeding approx_bytes.
-  uint64_t payload_bytes_ = 0;
+  /// Heap bytes of the stored strings (keys, MIN/MAX) and of the DISTINCT
+  /// values, tallied as they arrive.
+  uint64_t string_bytes_ = 0;
+  uint64_t distinct_bytes_ = 0;
+  // Per-batch scratch: key hashes, each row's ordinal, new groups' rows,
+  // and 0..n-1 for batches without a selection.
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> ords_;
+  std::vector<int32_t> new_rows_;
+  std::vector<int32_t> all_rows_;
 };
 
 /// Aggregation spill: hash-prefix partition streams that over-budget
-/// fragments flush serialized group records into, plus the partition-wise
+/// fragments flush their Partial batches into, plus the partition-wise
 /// rebuild that reassembles the sealed result as a first-seen-ordered row
 /// stream. One instance per aggregation node; each fragment (worker) flushes
 /// into its own stream set, so concurrent flushes never contend. A group's
-/// records always land in one hash partition, so rebuilding partitions one
-/// at a time bounds the merge-side footprint to ~1/partitions of the state.
+/// rows always land in one hash partition, so rebuilding partitions one at
+/// a time bounds the merge-side footprint to ~1/partitions of the state.
 class AggSpillSet {
  public:
   AggSpillSet(ExecContext* ctx, std::string prefix,
               const std::vector<ExprPtr>* keys, const std::vector<AggCall>* aggs,
               int partitions, int workers);
 
-  /// Serializes every group of `state` into worker `w`'s partition streams
-  /// and resets the state. Thread-safe across distinct workers.
+  /// Writes `state`'s Partial batch to worker `w`'s partition streams
+  /// (first-seen sequences riding as row sequences) and resets the state.
+  /// Thread-safe across distinct workers.
   Status Flush(int worker, GroupedAggState* state);
   /// True once any fragment flushed.
   bool spilled() const { return spilled_.load(std::memory_order_relaxed); }
 
-  /// Rebuilds each hash partition — absorbing `remainder`'s groups of that
-  /// partition plus every worker's spilled records in fixed (remainder,
-  /// worker, chunk) order — seals it, finalizes it into a seq-tagged row
-  /// run, then arms the k-way merge over the runs. Call once, after input
-  /// ends. `remainder` (may be null) is the final unspilled in-memory state.
+  /// Rebuilds each hash partition — merging `remainder`'s rows of that
+  /// partition, then every worker's spilled batches in fixed (worker,
+  /// chunk) order — seals it, finalizes it into a seq-tagged row run, then
+  /// arms the k-way merge over the runs. Call once, after input ends.
+  /// `remainder` (may be null) is the final unspilled in-memory state.
   Status PrepareEmit(GroupedAggState* remainder, const Schema& schema);
   /// Streams the merged output in first-seen group order.
   Result<RowBatch> NextOutput(bool* done);
@@ -455,14 +477,16 @@ class AggSpillSet {
     bool done = false;
   };
   Status RefillCursor(Cursor* c);
+  /// The spill partition of each row of a Partial batch, by its key hash.
+  std::vector<uint32_t> PartitionsOf(const RowBatch& partial) const;
 
   ExecContext* ctx_;
   std::string prefix_;
   const std::vector<ExprPtr>* keys_;
   const std::vector<AggCall>* aggs_;
   int partitions_;
-  /// Partition record streams, [worker][partition]; created lazily.
-  std::vector<std::vector<std::unique_ptr<SpillChunkWriter>>> writers_;
+  /// Partition batch streams, [worker][partition]; created lazily.
+  std::vector<std::vector<std::unique_ptr<SpillBatchWriter>>> writers_;
   std::atomic<bool> spilled_{false};
   std::atomic<int64_t> flushes_{0};
   std::vector<std::unique_ptr<SpillBatchWriter>> runs_;  // per-partition rows

@@ -148,10 +148,13 @@ Result<ColumnVectorPtr> Convert(const ColumnVectorPtr& in, const DataType& to,
   return out;
 }
 
-/// ColumnVector::AppendValue of every row of `in` into a `to` column.
-ColumnVectorPtr Store(const ColumnVectorPtr& in, const DataType& to) {
+}  // namespace
+
+ColumnVectorPtr ConformColumn(const ColumnVectorPtr& in, const DataType& to) {
   return Convert(in, to, Conversion::kStore).value();  // storing never fails
 }
+
+namespace {
 
 /// A literal's value (ConformToType of it) on n rows.
 ColumnVectorPtr Broadcast(const Value& literal, const DataType& type, size_t n) {
@@ -403,7 +406,7 @@ Result<ColumnVectorPtr> EvalBinary(const Expr& e, const RowBatch& batch) {
         return BinaryF64(*l, *r, [&](size_t i) { return minus ? a[i] - b[i] : a[i] + b[i]; });
       }
       if (e.type.kind == TypeKind::kDecimal) {
-        ColumnVectorPtr lc = Store(l, e.type), rc = Store(r, e.type);
+        ColumnVectorPtr lc = ConformColumn(l, e.type), rc = ConformColumn(r, e.type);
         const int64_t* a = lc->i64_data().data();
         const int64_t* b = rc->i64_data().data();
         return BinaryI64(e.type, *l, *r, [&](size_t i) { return add(a[i], b[i]); });
@@ -448,7 +451,8 @@ Result<ColumnVectorPtr> EvalBinary(const Expr& e, const RowBatch& batch) {
     case BinaryOp::kLike:
     case BinaryOp::kConcat: {
       const bool like = e.bin_op == BinaryOp::kLike;
-      ColumnVectorPtr lt = Store(l, DataType::String()), rt = Store(r, DataType::String());
+      ColumnVectorPtr lt = ConformColumn(l, DataType::String());
+      ColumnVectorPtr rt = ConformColumn(r, DataType::String());
       auto out = NewColumn(like ? DataType::Boolean() : DataType::String(), n);
       for (size_t i = 0; i < n; ++i) {
         out->validity()[i] = l->validity()[i] & r->validity()[i];
@@ -516,14 +520,14 @@ Result<ColumnVectorPtr> EvalCase(const Expr& e, const RowBatch& batch) {
                           EvalWhere(*e.children[2 * p + 1], batch,
                                     [&](size_t i) { return taken[i] != 0; }));
     const std::vector<int32_t> rows = RowsWhere(taken);
-    CopyRows(out.get(), rows.data(), *Store(then, e.type), rows.data(), rows.size());
+    CopyRows(out.get(), rows.data(), *ConformColumn(then, e.type), rows.data(), rows.size());
   }
   if (e.has_else && remaining > 0) {
     HIVE_ASSIGN_OR_RETURN(
         ColumnVectorPtr other,
         EvalWhere(*e.children.back(), batch, [&](size_t i) { return open[i] != 0; }));
     const std::vector<int32_t> rows = RowsWhere(open);
-    CopyRows(out.get(), rows.data(), *Store(other, e.type), rows.data(), rows.size());
+    CopyRows(out.get(), rows.data(), *ConformColumn(other, e.type), rows.data(), rows.size());
   }
   return out;
 }
@@ -640,7 +644,7 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
   // A column reference yields its input as it is; computed values are
   // stored as e.type.
   if (e.kind == ExprKind::kColumnRef) return v;
-  return Store(v, e.type);
+  return ConformColumn(v, e.type);
 }
 
 Result<Value> EvalConstant(const Expr& e) {

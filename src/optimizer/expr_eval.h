@@ -45,6 +45,11 @@ Result<Value> ApplyFunction(const std::string& name, const std::vector<Value>& a
 /// `v` through unchanged.
 Value ConformToType(Value v, const DataType& t);
 
+/// ColumnVector::AppendValue of every row of `in` into a column of type `to`:
+/// ConformToType a column at a time, every row converted, valid or not.
+/// Returns `in` itself when it already holds that storage.
+ColumnVectorPtr ConformColumn(const ColumnVectorPtr& in, const DataType& to);
+
 /// The text string operators (LIKE, ||, the string functions) see for a
 /// non-NULL value: a STRING's bytes, anything else rendered as SQL.
 std::string TextOf(const Value& v);
